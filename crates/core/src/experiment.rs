@@ -563,11 +563,12 @@ impl Experiment {
         Ok(RunReport::from_stats(self, stats, outcome))
     }
 
-    /// Builds this experiment's scenario — trace generation, program
-    /// mapping, flat-program build, component preallocation, injector
-    /// and KV tier — once, and freezes it pre-tick as a policy-neutral
-    /// base snapshot. [`Experiment::run_forked`] then stamps any policy
-    /// onto an independent fork.
+    /// Builds this experiment's scenario — trace generation into the
+    /// program's one instruction table, program mapping, component
+    /// preallocation, injector and KV tier — once, and freezes it
+    /// pre-tick as a policy-neutral base snapshot.
+    /// [`Experiment::run_forked`] then stamps any policy onto an
+    /// independent fork.
     ///
     /// The experiment's own `policy` is ignored: everything captured is
     /// policy independent. Policies influence behaviour from the very
@@ -621,8 +622,8 @@ impl Experiment {
     /// every cell is forked off `base` exactly as
     /// [`Experiment::run_forked`] would fork it, then all cells advance
     /// together through [`SystemBatch`] so the scenario's `Arc`-shared
-    /// immutable state (decoded trace, flat program, arrival schedule,
-    /// inject plans) is streamed through the cache once per lockstep
+    /// immutable state (instruction table, arrival schedule, inject
+    /// plans) is streamed through the cache once per lockstep
     /// window instead of once per cell.
     ///
     /// Reports come back in `cells` order and are byte-identical to

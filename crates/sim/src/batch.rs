@@ -7,9 +7,9 @@
 //! time (decode, mapping, preallocation) and cache footprint (each cell
 //! streams its own copy of the instruction stream). A [`SystemBatch`]
 //! instead holds N forks of one pre-tick base system: the `Arc`-shared
-//! scenario state ([`crate::prog::Program`], its
-//! [`crate::prog::FlatProgram`] issue view, the injector's arrival
-//! schedule and inject plans) is built once, and the batch advances
+//! scenario state ([`crate::prog::Program`] with its flat instruction
+//! table, the injector's arrival schedule and inject plans) is built
+//! once, and the batch advances
 //! every live cell through the same cycle window before moving to the
 //! next, so the shared read-only data a window touches is pulled into
 //! cache once and reused by every cell instead of streamed N times.

@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 use crate::config::{CoreConfig, L1Config};
 use crate::l1::{L1Cache, L1Class, L1LoadOutcome};
 use crate::pool::{ReqHandle, ReqPool};
-use crate::prog::{FlatProgram, Instr, TbId};
+use crate::prog::{Instr, Program, TbId};
 use crate::sched::TbScheduler;
 use crate::stats::CoreStats;
 use crate::types::{line_of, Addr, CoreId, Cycle, MemReq, MemResp, LINE_BYTES};
@@ -157,7 +157,7 @@ impl VectorCore {
     pub fn tick(
         &mut self,
         now: Cycle,
-        program: &FlatProgram,
+        program: &Program,
         sched: &mut TbScheduler,
         pool: &mut ReqPool,
     ) {
@@ -238,7 +238,7 @@ impl VectorCore {
         }
     }
 
-    fn try_issue(&mut self, now: Cycle, program: &FlatProgram, pool: &mut ReqPool) -> IssueResult {
+    fn try_issue(&mut self, now: Cycle, program: &Program, pool: &mut ReqPool) -> IssueResult {
         if self.resident_tbs() == 0 {
             return IssueResult::NothingResident;
         }
@@ -246,32 +246,24 @@ impl VectorCore {
             return IssueResult::ComputeBusy;
         }
         let n = self.windows.len();
-        let mut any_memory_wait = false;
         for k in 0..n {
             let wi = (self.last_issued + k) % n;
-            match self.try_issue_window(wi, now, program, pool) {
-                WindowIssue::Issued => {
-                    self.last_issued = wi;
-                    return IssueResult::Issued;
-                }
-                WindowIssue::MemoryWait => any_memory_wait = true,
-                WindowIssue::Empty => {}
+            if let WindowIssue::Issued = self.try_issue_window(wi, now, program, pool) {
+                self.last_issued = wi;
+                return IssueResult::Issued;
             }
         }
-        if any_memory_wait {
-            IssueResult::AllBlockedOnMemory
-        } else {
-            // Resident blocks exist but none is memory-blocked nor
-            // issuable: only possible transiently at retire boundaries.
-            IssueResult::AllBlockedOnMemory
-        }
+        // Resident blocks exist but none can issue. Usually they wait on
+        // memory; transiently, at a retire boundary, a window is merely
+        // finished — either way the core stalls this cycle.
+        IssueResult::AllBlockedOnMemory
     }
 
     fn try_issue_window(
         &mut self,
         wi: usize,
         now: Cycle,
-        program: &FlatProgram,
+        program: &Program,
         pool: &mut ReqPool,
     ) -> WindowIssue {
         let w = self.windows[wi];
@@ -521,14 +513,14 @@ enum WindowIssue {
 mod tests {
     use super::*;
     use crate::config::SystemConfig;
-    use crate::prog::{Program, ThreadBlock};
+    use crate::prog::ThreadBlock;
 
-    fn setup(blocks: Vec<ThreadBlock>) -> (VectorCore, FlatProgram, TbScheduler, ReqPool) {
+    fn setup(blocks: Vec<ThreadBlock>) -> (VectorCore, Program, TbScheduler, ReqPool) {
         let cfg = SystemConfig::table5();
         let program = Program::round_robin(blocks, 1);
         let sched = TbScheduler::new(&program, 1, 4);
         let core = VectorCore::new(0, cfg.core, cfg.l1);
-        (core, FlatProgram::new(&program), sched, ReqPool::default())
+        (core, program, sched, ReqPool::default())
     }
 
     fn load(addr: Addr) -> Instr {

@@ -5,8 +5,15 @@
 //! operations, memory access addresses, R/W". A trace is partitioned
 //! into *thread blocks* — the unit the runtime scheduler assigns to
 //! instruction windows and migrates between cores.
+//!
+//! A [`Program`] stores its blocks as one flat [`BlockTable`]: every
+//! instruction in a single contiguous array plus a `u32` offset per
+//! block. Trace generation appends to that table directly, the
+//! simulator's issue path reads it in place (one offset lookup, then a
+//! slice), and a scenario's snapshots and forks share it through one
+//! `Arc` — the trace exists exactly once.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize, Value};
 
 use crate::types::{Addr, Cycle};
 
@@ -25,89 +32,77 @@ pub enum Instr {
     Barrier,
 }
 
-/// A schedulable unit: a short sequence of instructions covering 1–2
-/// output cache lines (Section 6.2.2).
+/// Bytes loaded and bytes stored by `instrs`.
+pub fn traffic(instrs: &[Instr]) -> (u64, u64) {
+    instrs.iter().fold((0, 0), |(load, store), i| match *i {
+        Instr::Load { bytes, .. } => (load + bytes as u64, store),
+        Instr::Store { bytes, .. } => (load, store + bytes as u64),
+        Instr::Compute { .. } | Instr::Barrier => (load, store),
+    })
+}
+
+/// One thread block as a standalone value: a short sequence of
+/// instructions covering 1–2 output cache lines (Section 6.2.2).
+///
+/// Programs do not store blocks this way (see [`BlockTable`]); a
+/// `Vec<ThreadBlock>` is the convenient input for hand-built programs
+/// ([`Program::new`]) and the record of the JSON trace format.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ThreadBlock {
     pub instrs: Vec<Instr>,
 }
 
-impl ThreadBlock {
-    /// Number of vector loads in the block.
-    pub fn num_loads(&self) -> usize {
-        self.instrs
-            .iter()
-            .filter(|i| matches!(i, Instr::Load { .. }))
-            .count()
-    }
-
-    /// Number of vector stores in the block.
-    pub fn num_stores(&self) -> usize {
-        self.instrs
-            .iter()
-            .filter(|i| matches!(i, Instr::Store { .. }))
-            .count()
-    }
-
-    /// Total bytes loaded.
-    pub fn bytes_loaded(&self) -> u64 {
-        self.instrs
-            .iter()
-            .map(|i| match i {
-                Instr::Load { bytes, .. } => *bytes as u64,
-                _ => 0,
-            })
-            .sum()
-    }
-
-    /// Total bytes stored.
-    pub fn bytes_stored(&self) -> u64 {
-        self.instrs
-            .iter()
-            .map(|i| match i {
-                Instr::Store { bytes, .. } => *bytes as u64,
-                _ => 0,
-            })
-            .sum()
-    }
-}
-
 /// Identifier of a thread block within a [`Program`].
 pub type TbId = usize;
 
-/// Flattened, cache-dense view of a [`Program`] for the per-cycle issue
-/// path: all instructions in one contiguous array with per-block
-/// offsets and request tags in parallel arrays. The nested
-/// `Vec<ThreadBlock>` costs two dependent pointer loads per
-/// instruction fetch — paid by every window evaluation of every awake
-/// core tick; the flat view costs one load from a dense offset table.
-/// Built once by the system at construction; the serde-facing
-/// [`Program`] is unchanged.
-#[derive(Debug, Clone)]
-pub struct FlatProgram {
+/// The thread blocks of a program as one flat instruction table: all
+/// instructions in one contiguous array, `start[tb]..start[tb + 1]`
+/// delimiting block `tb`. The per-cycle issue path costs one load from
+/// the dense offset table, where a `Vec` per block would cost two
+/// dependent pointer loads per instruction fetch and one heap
+/// allocation per block at generation time.
+///
+/// Serializes as the nested `[{"instrs": [...]}, ...]` block list, so
+/// the JSON trace format is independent of this layout.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BlockTable {
     instrs: Vec<Instr>,
-    /// `start[tb]..start[tb + 1]` is block `tb`'s instruction range.
+    /// Block boundaries; `start[0] == 0`, one more entry than blocks.
     start: Vec<u32>,
-    /// Per-block serving-request tag (resolved; never empty).
-    request: Vec<RequestId>,
 }
 
-impl FlatProgram {
-    pub fn new(p: &Program) -> Self {
-        let total: usize = p.blocks.iter().map(|b| b.instrs.len()).sum();
-        let mut instrs = Vec::with_capacity(total);
-        let mut start = Vec::with_capacity(p.blocks.len() + 1);
-        for b in &p.blocks {
-            start.push(instrs.len() as u32);
-            instrs.extend_from_slice(&b.instrs);
-        }
-        start.push(instrs.len() as u32);
-        let request = (0..p.blocks.len()).map(|tb| p.request_of(tb)).collect();
-        FlatProgram {
-            instrs,
+impl Default for BlockTable {
+    fn default() -> Self {
+        BlockTable::with_capacity(0, 0)
+    }
+}
+
+impl BlockTable {
+    /// An empty table with room for `blocks` blocks of `instrs`
+    /// instructions in total.
+    pub fn with_capacity(blocks: usize, instrs: usize) -> Self {
+        let mut start = Vec::with_capacity(blocks + 1);
+        start.push(0);
+        BlockTable {
+            instrs: Vec::with_capacity(instrs),
             start,
-            request,
         }
+    }
+
+    /// Reserves room for `blocks` more blocks of `instrs` more
+    /// instructions in total.
+    pub fn reserve(&mut self, blocks: usize, instrs: usize) {
+        self.start.reserve(blocks);
+        self.instrs.reserve(instrs);
+    }
+
+    /// Number of blocks.
+    pub fn len(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
     /// Block `tb`'s instructions.
@@ -116,10 +111,91 @@ impl FlatProgram {
         &self.instrs[self.start[tb] as usize..self.start[tb + 1] as usize]
     }
 
-    /// Serving request of block `tb`.
-    #[inline]
-    pub fn request_of(&self, tb: TbId) -> RequestId {
-        self.request[tb]
+    /// Every block's instructions, in block order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[Instr]> + '_ {
+        self.start
+            .windows(2)
+            .map(|w| &self.instrs[w[0] as usize..w[1] as usize])
+    }
+
+    /// The whole instruction stream, blocks back to back.
+    pub fn instrs(&self) -> &[Instr] {
+        &self.instrs
+    }
+
+    /// The block boundaries: `offsets()[tb]..offsets()[tb + 1]` is
+    /// block `tb`'s range of [`BlockTable::instrs`].
+    pub fn offsets(&self) -> &[u32] {
+        &self.start
+    }
+
+    /// The instructions of blocks `first..`, for in-place rewriting
+    /// (block lengths and boundaries cannot change through it).
+    pub fn instrs_from_mut(&mut self, first: TbId) -> &mut [Instr] {
+        &mut self.instrs[self.start[first] as usize..]
+    }
+
+    /// Appends a block whose instructions `build` pushes onto the end
+    /// of the stream, and returns the new block. `build` must only
+    /// append.
+    ///
+    /// Panics if the stream outgrows the `u32` offsets.
+    pub fn push_with(&mut self, build: impl FnOnce(&mut Vec<Instr>)) -> &[Instr] {
+        let first = self.instrs.len();
+        build(&mut self.instrs);
+        debug_assert!(self.instrs.len() >= first, "block builders only append");
+        let end = u32::try_from(self.instrs.len()).expect("instruction table exceeds u32 offsets");
+        self.start.push(end);
+        &self.instrs[first..]
+    }
+
+    /// Appends a copy of `instrs` as a new block.
+    pub fn push(&mut self, instrs: &[Instr]) {
+        self.push_with(|out| out.extend_from_slice(instrs));
+    }
+}
+
+impl From<Vec<ThreadBlock>> for BlockTable {
+    fn from(blocks: Vec<ThreadBlock>) -> Self {
+        let total = blocks.iter().map(|b| b.instrs.len()).sum();
+        let mut table = BlockTable::with_capacity(blocks.len(), total);
+        for b in &blocks {
+            table.push(&b.instrs);
+        }
+        table
+    }
+}
+
+impl Serialize for BlockTable {
+    fn to_value(&self) -> Value {
+        let blocks: Vec<ThreadBlock> = self
+            .iter()
+            .map(|instrs| ThreadBlock {
+                instrs: instrs.to_vec(),
+            })
+            .collect();
+        blocks.to_value()
+    }
+}
+
+impl Deserialize for BlockTable {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        Vec::<ThreadBlock>::from_value(v).map(BlockTable::from)
+    }
+}
+
+/// Issue-path view of a [`Program`], kept for callers written when the
+/// simulator built a separate flattened copy of the program. The
+/// program's [`BlockTable`] is that layout now, so this is a borrow:
+/// building one costs nothing and copies nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct FlatProgram<'a> {
+    pub program: &'a Program,
+}
+
+impl<'a> FlatProgram<'a> {
+    pub fn new(program: &'a Program) -> Self {
+        FlatProgram { program }
     }
 }
 
@@ -143,7 +219,7 @@ pub type RequestId = u32;
 /// solo-trace legacy encoding, byte-compatible with pre-mix programs.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Program {
-    pub blocks: Vec<ThreadBlock>,
+    pub blocks: BlockTable,
     pub assignment: Vec<usize>,
     /// Per-block request id; empty = all blocks belong to request 0.
     #[serde(default)]
@@ -154,25 +230,20 @@ pub struct Program {
 }
 
 impl Program {
-    pub fn new(blocks: Vec<ThreadBlock>, assignment: Vec<usize>) -> Self {
-        assert_eq!(blocks.len(), assignment.len());
-        Program {
-            blocks,
-            assignment,
-            request_tags: Vec::new(),
-            arrivals: Vec::new(),
-        }
+    pub fn new(blocks: impl Into<BlockTable>, assignment: Vec<usize>) -> Self {
+        Program::with_requests(blocks, assignment, Vec::new(), Vec::new())
     }
 
     /// A fully tagged multi-tenant program. `request_tags` and
     /// `arrivals` must either match `blocks` in length or be empty
     /// (the solo defaults).
     pub fn with_requests(
-        blocks: Vec<ThreadBlock>,
+        blocks: impl Into<BlockTable>,
         assignment: Vec<usize>,
         request_tags: Vec<RequestId>,
         arrivals: Vec<Cycle>,
     ) -> Self {
+        let blocks = blocks.into();
         assert_eq!(blocks.len(), assignment.len());
         assert!(request_tags.is_empty() || request_tags.len() == blocks.len());
         assert!(arrivals.is_empty() || arrivals.len() == blocks.len());
@@ -187,7 +258,8 @@ impl Program {
     /// Round-robin assignment of `blocks` over `num_cores` cores, in
     /// block order (consecutive blocks land on consecutive cores, which
     /// is what keeps GQA-sharing blocks temporally close).
-    pub fn round_robin(blocks: Vec<ThreadBlock>, num_cores: usize) -> Self {
+    pub fn round_robin(blocks: impl Into<BlockTable>, num_cores: usize) -> Self {
+        let blocks = blocks.into();
         let assignment = (0..blocks.len()).map(|i| i % num_cores).collect();
         Program::new(blocks, assignment)
     }
@@ -196,12 +268,17 @@ impl Program {
         self.blocks.len()
     }
 
+    /// Block `tb`'s instructions.
+    #[inline]
+    pub fn block(&self, tb: TbId) -> &[Instr] {
+        self.blocks.block(tb)
+    }
+
     /// Request that thread block `tb` belongs to (0 for solo traces).
     #[inline]
     pub fn request_of(&self, tb: TbId) -> RequestId {
         self.request_tags.get(tb).copied().unwrap_or(0)
     }
-
     /// Cycle at which thread block `tb` becomes schedulable.
     #[inline]
     pub fn arrival_of(&self, tb: TbId) -> Cycle {
@@ -222,7 +299,7 @@ impl Program {
     pub fn blocks_per_request(&self) -> Vec<u64> {
         let mut counts = vec![0u64; self.num_requests()];
         if self.request_tags.is_empty() {
-            counts[0] = self.blocks.len() as u64;
+            counts[0] = self.num_blocks() as u64;
         } else {
             for &r in &self.request_tags {
                 counts[r as usize] += 1;
@@ -235,7 +312,7 @@ impl Program {
     /// blocks; 0 for requests without blocks).
     pub fn request_arrivals(&self) -> Vec<Cycle> {
         let mut arrivals = vec![Cycle::MAX; self.num_requests()];
-        for tb in 0..self.blocks.len() {
+        for tb in 0..self.num_blocks() {
             let r = self.request_of(tb) as usize;
             arrivals[r] = arrivals[r].min(self.arrival_of(tb));
         }
@@ -249,12 +326,12 @@ impl Program {
 
     /// Total bytes of load traffic in the program.
     pub fn total_load_bytes(&self) -> u64 {
-        self.blocks.iter().map(|b| b.bytes_loaded()).sum()
+        traffic(self.blocks.instrs()).0
     }
 
     /// Total bytes of store traffic in the program.
     pub fn total_store_bytes(&self) -> u64 {
-        self.blocks.iter().map(|b| b.bytes_stored()).sum()
+        traffic(self.blocks.instrs()).1
     }
 }
 
@@ -263,29 +340,58 @@ mod tests {
     use super::*;
 
     #[test]
-    fn block_accounting() {
-        let tb = ThreadBlock {
-            instrs: vec![
-                Instr::Load {
-                    addr: 0,
-                    bytes: 128,
+    fn traffic_accounting() {
+        let instrs = [
+            Instr::Load {
+                addr: 0,
+                bytes: 128,
+            },
+            Instr::Compute { cycles: 4 },
+            Instr::Load {
+                addr: 128,
+                bytes: 128,
+            },
+            Instr::Barrier,
+            Instr::Store {
+                addr: 4096,
+                bytes: 64,
+            },
+        ];
+        assert_eq!(traffic(&instrs), (256, 64));
+    }
+
+    #[test]
+    fn table_delimits_blocks_in_one_stream() {
+        let load = |addr| Instr::Load { addr, bytes: 64 };
+        let p = Program::round_robin(
+            vec![
+                ThreadBlock {
+                    instrs: vec![load(0), Instr::Barrier],
                 },
-                Instr::Compute { cycles: 4 },
-                Instr::Load {
-                    addr: 128,
-                    bytes: 128,
-                },
-                Instr::Barrier,
-                Instr::Store {
-                    addr: 4096,
-                    bytes: 64,
+                ThreadBlock::default(),
+                ThreadBlock {
+                    instrs: vec![load(64)],
                 },
             ],
-        };
-        assert_eq!(tb.num_loads(), 2);
-        assert_eq!(tb.num_stores(), 1);
-        assert_eq!(tb.bytes_loaded(), 256);
-        assert_eq!(tb.bytes_stored(), 64);
+            2,
+        );
+        assert_eq!(p.blocks.offsets(), &[0, 2, 2, 3]);
+        assert_eq!(p.block(0), &[load(0), Instr::Barrier]);
+        assert!(p.block(1).is_empty());
+        assert_eq!(p.block(2), &[load(64)]);
+        assert_eq!(p.blocks.iter().len(), 3);
+
+        let mut table = p.blocks.clone();
+        let built = table.push_with(|out| out.push(Instr::Compute { cycles: 3 }));
+        assert_eq!(built, &[Instr::Compute { cycles: 3 }]);
+        for i in table.instrs_from_mut(2) {
+            if let Instr::Load { addr, .. } = i {
+                *addr += 1 << 40;
+            }
+        }
+        assert_eq!(table.block(0), p.block(0), "earlier blocks untouched");
+        assert_eq!(table.block(2), &[load(64 + (1 << 40))]);
+        assert_eq!(table.offsets(), &[0, 2, 2, 3, 4]);
     }
 
     #[test]

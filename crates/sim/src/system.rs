@@ -26,7 +26,7 @@ use crate::kv::{KvClass, KvTier, KvTierConfig};
 use crate::llc::LlcSlice;
 use crate::noc::Noc;
 use crate::pool::ReqPool;
-use crate::prog::{FlatProgram, Program};
+use crate::prog::Program;
 use crate::sched::TbScheduler;
 use crate::serve::RequestInjector;
 use crate::stats::SimStats;
@@ -89,16 +89,14 @@ where
     T: ThrottleController,
 {
     cfg: SystemConfig,
-    /// The scenario's instruction streams and mapping. Shared: cloning
-    /// (and therefore [`System::snapshot`] / [`SystemState::fork`])
-    /// bumps a refcount instead of copying — every fork of one scenario
-    /// reads the same decoded trace, which is what lets
-    /// [`crate::batch::SystemBatch`] run a policy grid over one shared
-    /// trace instead of N private copies.
+    /// The scenario's instruction table and mapping; cores issue
+    /// straight from its flat [`crate::prog::BlockTable`]. Shared:
+    /// cloning (and therefore [`System::snapshot`] /
+    /// [`SystemState::fork`]) bumps a refcount instead of copying —
+    /// every fork of one scenario reads the same trace, which is what
+    /// lets [`crate::batch::SystemBatch`] run a policy grid over one
+    /// shared trace instead of N private copies.
     program: Arc<Program>,
-    /// Dense issue-path view of `program` (see [`FlatProgram`]).
-    /// Shared across forks like `program`.
-    flat: Arc<FlatProgram>,
     cores: Vec<VectorCore>,
     slices: Vec<LlcSlice<A>>,
     noc: Noc,
@@ -296,14 +294,12 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
         for s in &mut slices {
             s.reserve_ingress(in_flight_bound);
         }
-        let flat = Arc::new(FlatProgram::new(&program));
         let blocks_total: u64 = req_blocks_total.iter().sum();
         System {
             core_period_ps: cfg.core_period_ps(),
             dram_period_ps: cfg.dram.timing.tck_ps,
             cfg,
             program: Arc::new(program),
-            flat,
             cores,
             slices,
             noc,
@@ -347,7 +343,7 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
     ///
     /// This is the policy half of the campaign warm-up-and-fork fast
     /// path: scenario construction (trace generation, program mapping,
-    /// [`FlatProgram`] build, component preallocation) is policy
+    /// component preallocation) is policy
     /// independent, so cells sharing a scenario fork one pre-tick base
     /// snapshot and swap in their own policies. Each slice's arbiter is
     /// reset exactly as construction would reset it, so the forked
@@ -858,7 +854,7 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
                     self.cores[c].on_resp(resp, now);
                 }
                 let tbs_before = self.cores[c].stats.tbs_completed;
-                self.cores[c].tick(now, &self.flat, &mut self.sched, &mut self.pool);
+                self.cores[c].tick(now, &self.program, &mut self.sched, &mut self.pool);
                 self.note_retirements(c, now);
                 while let Some(h) = self.cores[c].outbound.pop_front() {
                     let slice = self.slice_of(self.pool.get(h).line_addr);
@@ -992,7 +988,7 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
             while let Some(resp) = self.noc.pop_due_resp(c, now) {
                 self.cores[c].on_resp(resp, now);
             }
-            self.cores[c].tick(now, &self.flat, &mut self.sched, &mut self.pool);
+            self.cores[c].tick(now, &self.program, &mut self.sched, &mut self.pool);
             self.note_retirements(c, now);
             while let Some(h) = self.cores[c].outbound.pop_front() {
                 let slice = self.slice_of(self.pool.get(h).line_addr);
@@ -1235,7 +1231,7 @@ mod tests {
                 Instr::Barrier,
             ],
         };
-        let p = Program::round_robin((0..4).map(|_| mk()).collect(), 4);
+        let p = Program::round_robin((0..4).map(|_| mk()).collect::<Vec<_>>(), 4);
         let (stats, _) = build(small_cfg(), p).run(1_000_000);
         let reads: u64 = stats.channels.iter().map(|c| c.reads).sum();
         assert_eq!(reads, 2, "sharing collapses into one fetch per line");

@@ -65,7 +65,7 @@ fn decode_program(blocks: &[(u64, u8, u32)], cores: usize) -> Program {
         blocks
             .iter()
             .map(|&(a, k, c)| decode_block(a, k, c))
-            .collect(),
+            .collect::<Vec<_>>(),
         cores,
     )
 }
@@ -235,7 +235,6 @@ proptest! {
         let program = decode_program(&blocks, 1);
         let total_blocks = program.num_blocks() as u64;
         let mut sched = TbScheduler::new(&program, 1, cfg.core.num_inst_windows);
-        let flat = llamcat_sim::prog::FlatProgram::new(&program);
         let mut core = VectorCore::new(0, cfg.core, cfg.l1);
         let mut pool = llamcat_sim::pool::ReqPool::default();
         // (due cycle, response) — emulates the LLC/NoC round trip.
@@ -266,7 +265,7 @@ proptest! {
             );
             let accrual_before =
                 core.stats.idle_cycles + core.stats.mem_stall_cycles + core.stats.active_cycles;
-            core.tick(now, &flat, &mut sched, &mut pool);
+            core.tick(now, &program, &mut sched, &mut pool);
             if quiet {
                 let after = (
                     core.stats.instrs_issued,

@@ -10,7 +10,7 @@ use std::io::{self, Read, Write};
 
 use serde::{Deserialize, Serialize};
 
-use llamcat_sim::prog::{Instr, Program, ThreadBlock};
+use llamcat_sim::prog::{Instr, Program};
 
 use crate::tracegen::TraceMeta;
 use crate::workload::LogitOp;
@@ -49,7 +49,7 @@ impl TraceFile {
         let header = serde_json::to_vec(&(self.op, self.meta)).expect("header serializes");
         write_u64(w, header.len() as u64)?;
         w.write_all(&header)?;
-        write_u64(w, self.program.blocks.len() as u64)?;
+        write_u64(w, self.program.num_blocks() as u64)?;
         for (tb, (block, &core)) in self
             .program
             .blocks
@@ -62,8 +62,8 @@ impl TraceFile {
                 write_u64(w, self.program.request_of(tb) as u64)?;
                 write_u64(w, self.program.arrival_of(tb))?;
             }
-            write_u64(w, block.instrs.len() as u64)?;
-            for i in &block.instrs {
+            write_u64(w, block.len() as u64)?;
+            for i in block {
                 match i {
                     Instr::Compute { cycles } => {
                         w.write_all(&[0])?;
@@ -91,69 +91,77 @@ impl TraceFile {
     /// Reads the compact binary encoding: the current request-tagged v2
     /// layout, or the legacy v1 layout (read back as a solo request-0
     /// trace).
+    ///
+    /// Malformed input is an `InvalidData` (or `UnexpectedEof`) error,
+    /// never a panic: counts in the file size nothing up front, so a
+    /// hostile count fails at the end of the input instead of
+    /// allocating, and out-of-range fields are rejected, not truncated.
     pub fn read_binary<R: Read>(r: &mut R) -> io::Result<Self> {
         let mut magic = [0u8; 8];
         r.read_exact(&mut magic)?;
         let tagged = match &magic {
             m if m == MAGIC_V2 => true,
             m if m == MAGIC_V1 => false,
-            _ => return Err(io::Error::new(io::ErrorKind::InvalidData, "bad magic")),
+            _ => return Err(invalid("bad magic")),
         };
-        let header_len = read_u64(r)? as usize;
-        let mut header = vec![0u8; header_len];
-        r.read_exact(&mut header)?;
+        let header_len = read_u64(r)?;
+        let mut header = Vec::new();
+        r.by_ref().take(header_len).read_to_end(&mut header)?;
+        if header.len() as u64 != header_len {
+            return Err(io::ErrorKind::UnexpectedEof.into());
+        }
         let (op, meta): (LogitOp, TraceMeta) = serde_json::from_slice(&header)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        let num_blocks = read_u64(r)? as usize;
-        let mut blocks = Vec::with_capacity(num_blocks);
-        let mut assignment = Vec::with_capacity(num_blocks);
-        let mut request_tags = Vec::new();
-        let mut arrivals = Vec::new();
+        let num_blocks = read_u64(r)?;
+        let mut program = Program::default();
         for _ in 0..num_blocks {
-            assignment.push(read_u64(r)? as usize);
+            program.assignment.push(read_u64(r)? as usize);
             if tagged {
-                let tag = read_u64(r)?;
-                let tag = u32::try_from(tag).map_err(|_| {
-                    io::Error::new(io::ErrorKind::InvalidData, "request tag exceeds u32")
-                })?;
-                request_tags.push(tag);
-                arrivals.push(read_u64(r)?);
+                let tag =
+                    u32::try_from(read_u64(r)?).map_err(|_| invalid("request tag exceeds u32"))?;
+                program.request_tags.push(tag);
+                program.arrivals.push(read_u64(r)?);
             }
-            let n = read_u64(r)? as usize;
-            let mut instrs = Vec::with_capacity(n);
-            for _ in 0..n {
-                let mut tag = [0u8; 1];
-                r.read_exact(&mut tag)?;
-                let instr = match tag[0] {
-                    0 => Instr::Compute {
-                        cycles: read_u64(r)? as u32,
-                    },
-                    1 => Instr::Load {
-                        addr: read_u64(r)?,
-                        bytes: read_u64(r)? as u32,
-                    },
-                    2 => Instr::Store {
-                        addr: read_u64(r)?,
-                        bytes: read_u64(r)? as u32,
-                    },
-                    3 => Instr::Barrier,
-                    t => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("unknown instruction tag {t}"),
-                        ))
-                    }
-                };
-                instrs.push(instr);
+            let n = read_u64(r)?;
+            if n > (u32::MAX as usize - program.blocks.instrs().len()) as u64 {
+                return Err(invalid("trace exceeds the u32 instruction table"));
             }
-            blocks.push(ThreadBlock { instrs });
+            let mut read = Ok(());
+            program
+                .blocks
+                .push_with(|out| read = read_instrs(r, n, out));
+            read?;
         }
-        Ok(TraceFile {
-            op,
-            meta,
-            program: Program::with_requests(blocks, assignment, request_tags, arrivals),
-        })
+        Ok(TraceFile { op, meta, program })
     }
+}
+
+/// Appends `n` binary-encoded instructions from `r` to `out`.
+fn read_instrs<R: Read>(r: &mut R, n: u64, out: &mut Vec<Instr>) -> io::Result<()> {
+    for _ in 0..n {
+        let mut tag = [0u8; 1];
+        r.read_exact(&mut tag)?;
+        out.push(match tag[0] {
+            0 => Instr::Compute {
+                cycles: read_u32(r, "compute cycles")?,
+            },
+            1 => Instr::Load {
+                addr: read_u64(r)?,
+                bytes: read_u32(r, "load bytes")?,
+            },
+            2 => Instr::Store {
+                addr: read_u64(r)?,
+                bytes: read_u32(r, "store bytes")?,
+            },
+            3 => Instr::Barrier,
+            t => return Err(invalid(&format!("unknown instruction tag {t}"))),
+        });
+    }
+    Ok(())
+}
+
+fn invalid(msg: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
 fn write_u64<W: Write>(w: &mut W, v: u64) -> io::Result<()> {
@@ -164,6 +172,11 @@ fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
     let mut b = [0u8; 8];
     r.read_exact(&mut b)?;
     Ok(u64::from_le_bytes(b))
+}
+
+/// A `u64` field that must fit a `u32` (`what` names it in the error).
+fn read_u32<R: Read>(r: &mut R, what: &str) -> io::Result<u32> {
+    u32::try_from(read_u64(r)?).map_err(|_| invalid(&format!("{what} exceed u32")))
 }
 
 #[cfg(test)]
@@ -289,6 +302,93 @@ mod tests {
         let mut buf = b"NOTATRCE".to_vec();
         buf.extend_from_slice(&[0u8; 64]);
         assert!(TraceFile::read_binary(&mut buf.as_slice()).is_err());
+    }
+
+    /// A v1 trace's bytes up to (not including) the block count.
+    fn v1_prefix() -> Vec<u8> {
+        let t = sample();
+        let header = serde_json::to_vec(&(t.op, t.meta)).unwrap();
+        let mut buf = MAGIC_V1.to_vec();
+        buf.extend_from_slice(&(header.len() as u64).to_le_bytes());
+        buf.extend_from_slice(&header);
+        buf
+    }
+
+    /// `v1_prefix` plus one block on core 0 holding `instr`, preceded
+    /// by an instruction count of `count`.
+    fn one_block(count: u64, instr: &[u8]) -> Vec<u8> {
+        let mut buf = v1_prefix();
+        for v in [1, 0, count] {
+            buf.extend_from_slice(&u64::to_le_bytes(v));
+        }
+        buf.extend_from_slice(instr);
+        buf
+    }
+
+    fn read_err(buf: &[u8]) -> io::ErrorKind {
+        TraceFile::read_binary(&mut &buf[..])
+            .expect_err("malformed trace must be rejected")
+            .kind()
+    }
+
+    #[test]
+    fn hostile_header_length_is_an_error_not_an_allocation() {
+        let mut buf = MAGIC_V1.to_vec();
+        buf.extend_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(buf.len(), 16);
+        assert_eq!(read_err(&buf), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn hostile_block_count_is_an_error_not_an_allocation() {
+        let mut buf = v1_prefix();
+        buf.extend_from_slice(&(1u64 << 60).to_le_bytes());
+        assert_eq!(read_err(&buf), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn hostile_instruction_count_is_rejected() {
+        // More instructions than the u32-offset table can index.
+        assert_eq!(
+            read_err(&one_block(1 << 60, &[])),
+            io::ErrorKind::InvalidData
+        );
+        // A count the table could hold, but the input does not.
+        assert_eq!(
+            read_err(&one_block(1 << 20, &[3])),
+            io::ErrorKind::UnexpectedEof
+        );
+    }
+
+    #[test]
+    fn out_of_range_fields_are_rejected_not_truncated() {
+        let big = (u32::MAX as u64 + 1).to_le_bytes();
+        let compute = [&[0u8][..], &big].concat();
+        let load = [&[1u8][..], &64u64.to_le_bytes(), &big].concat();
+        let store = [&[2u8][..], &64u64.to_le_bytes(), &big].concat();
+        for instr in [compute, load, store] {
+            assert_eq!(read_err(&one_block(1, &instr)), io::ErrorKind::InvalidData);
+        }
+        // The largest in-range value still reads back exactly.
+        let max_load = [
+            &[1u8][..],
+            &64u64.to_le_bytes(),
+            &u64::from(u32::MAX).to_le_bytes(),
+        ]
+        .concat();
+        let t = TraceFile::read_binary(&mut &one_block(1, &max_load)[..]).unwrap();
+        assert_eq!(
+            t.program.block(0),
+            &[Instr::Load {
+                addr: 64,
+                bytes: u32::MAX
+            }]
+        );
+    }
+
+    #[test]
+    fn unknown_instruction_tag_rejected() {
+        assert_eq!(read_err(&one_block(1, &[9])), io::ErrorKind::InvalidData);
     }
 
     #[test]

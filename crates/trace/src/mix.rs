@@ -41,7 +41,7 @@
 
 use std::sync::Arc;
 
-use llamcat_sim::prog::{Instr, Program, ThreadBlock};
+use llamcat_sim::prog::{Instr, Program};
 use llamcat_sim::types::{Addr, Cycle};
 use serde::{Deserialize, Serialize};
 
@@ -218,97 +218,75 @@ impl WorkloadMix {
         cfg: &TraceGenConfig,
     ) -> Result<(Program, MixMeta), String> {
         self.validate()?;
-        let per_core_counts: Vec<(usize, usize)> = match self.assignment {
-            MixAssignment::Partitioned => self.partition(cfg.num_cores)?,
-            MixAssignment::Interleaved => vec![(0, cfg.num_cores); self.requests.len()],
-        };
-
-        // Generate each request solo on its core share, then relocate
-        // into the tenant's address space.
-        let mut programs = Vec::with_capacity(self.requests.len());
-        let mut metas = Vec::with_capacity(self.requests.len());
-        for (r, (req, &(start, count))) in self.requests.iter().zip(&per_core_counts).enumerate() {
-            let shape = req.workload.shape();
-            if l_tile == 0 || !shape.seq_len.is_multiple_of(l_tile) {
-                return Err(format!(
-                    "mix request {r}: l_tile {l_tile} must divide seq_len {}",
-                    shape.seq_len
-                ));
-            }
-            let sub_cfg = TraceGenConfig {
-                num_cores: count,
-                ..*cfg
-            };
-            let mapping = req.workload.mapping(layout, l_tile, count);
-            mapping
-                .validate(&shape)
-                .map_err(|e| format!("mix request {r}: {e}"))?;
-            let (mut program, meta) = req.workload.generate(&mapping, &sub_cfg);
-            let offset = r as Addr * REQUEST_VA_STRIDE;
-            for block in &mut program.blocks {
-                relocate(block, offset);
-            }
-            for core in &mut program.assignment {
-                debug_assert!(*core < count);
-                *core += start;
-            }
-            programs.push(program);
-            metas.push(meta);
-        }
-
-        // Compose: request-major for partitioned (disjoint cores, order
-        // across requests is immaterial per core), round-robin by
-        // request for interleaved (per-core queues alternate tenants).
-        let total_blocks: usize = metas.iter().map(|m| m.num_blocks).sum();
-        let mut blocks = Vec::with_capacity(total_blocks);
-        let mut assignment = Vec::with_capacity(total_blocks);
-        let mut tags = Vec::with_capacity(total_blocks);
-        let mut arrivals = Vec::with_capacity(total_blocks);
-        let mut push = |r: usize, block: ThreadBlock, core: usize| {
-            blocks.push(block);
-            assignment.push(core);
-            tags.push(r as u32);
-            arrivals.push(self.requests[r].arrival);
-        };
+        let n = self.requests.len();
+        let mut metas = Vec::with_capacity(n);
+        let mut program = Program::default();
         match self.assignment {
+            // Request-major: each request is generated straight into
+            // the shared table on its own core share (disjoint cores, so
+            // order across requests is immaterial per core).
             MixAssignment::Partitioned => {
-                for (r, p) in programs.into_iter().enumerate() {
-                    for (block, core) in p.blocks.into_iter().zip(p.assignment) {
-                        push(r, block, core);
-                    }
+                for (r, (req, cores)) in self
+                    .requests
+                    .iter()
+                    .zip(self.partition(cfg.num_cores)?)
+                    .enumerate()
+                {
+                    let meta =
+                        append_request(&mut program, r, &*req.workload, cores, layout, l_tile, cfg)
+                            .map_err(|e| format!("mix request {r}: {e}"))?;
+                    program.request_tags.resize(program.num_blocks(), r as u32);
+                    program.arrivals.resize(program.num_blocks(), req.arrival);
+                    metas.push(meta);
                 }
             }
+            // Round-robin by request over the whole machine (per-core
+            // queues alternate tenants): each request is generated on
+            // its own, then its blocks are interleaved into the table.
             MixAssignment::Interleaved => {
-                let mut iters: Vec<_> = programs
-                    .into_iter()
-                    .map(|p| p.blocks.into_iter().zip(p.assignment))
-                    .collect();
-                loop {
-                    let mut any = false;
-                    for (r, it) in iters.iter_mut().enumerate() {
-                        if let Some((block, core)) = it.next() {
-                            push(r, block, core);
-                            any = true;
+                let mut solos = Vec::with_capacity(n);
+                for (r, req) in self.requests.iter().enumerate() {
+                    let mut solo = Program::default();
+                    let cores = (0, cfg.num_cores);
+                    let meta =
+                        append_request(&mut solo, r, &*req.workload, cores, layout, l_tile, cfg)
+                            .map_err(|e| format!("mix request {r}: {e}"))?;
+                    metas.push(meta);
+                    solos.push(solo);
+                }
+                let total = solos.iter().map(|p| p.num_blocks()).sum();
+                let instrs = solos.iter().map(|p| p.blocks.instrs().len()).sum();
+                program.blocks.reserve(total, instrs);
+                for tb in 0..solos.iter().map(|p| p.num_blocks()).max().unwrap_or(0) {
+                    for (r, solo) in solos.iter().enumerate() {
+                        if tb < solo.num_blocks() {
+                            program.blocks.push(solo.block(tb));
+                            program.assignment.push(solo.assignment[tb]);
+                            program.request_tags.push(r as u32);
+                            program.arrivals.push(self.requests[r].arrival);
                         }
                     }
-                    if !any {
-                        break;
-                    }
                 }
             }
         }
+        Ok((program, MixMeta::over(metas)))
+    }
+}
 
-        let meta = MixMeta {
-            num_blocks: total_blocks,
-            total_load_bytes: metas.iter().map(|m| m.total_load_bytes).sum(),
-            total_store_bytes: metas.iter().map(|m| m.total_store_bytes).sum(),
-            max_block_instrs: metas.iter().map(|m| m.max_block_instrs).max().unwrap_or(0),
-            per_request: metas,
-        };
-        Ok((
-            Program::with_requests(blocks, assignment, tags, arrivals),
-            meta,
-        ))
+impl MixMeta {
+    /// Aggregates the per-request metadata.
+    fn over(per_request: Vec<TraceMeta>) -> Self {
+        MixMeta {
+            num_blocks: per_request.iter().map(|m| m.num_blocks).sum(),
+            total_load_bytes: per_request.iter().map(|m| m.total_load_bytes).sum(),
+            total_store_bytes: per_request.iter().map(|m| m.total_store_bytes).sum(),
+            max_block_instrs: per_request
+                .iter()
+                .map(|m| m.max_block_instrs)
+                .max()
+                .unwrap_or(0),
+            per_request,
+        }
     }
 }
 
@@ -337,65 +315,70 @@ pub fn generate_serve_set(
     if cores_per_request == 0 {
         return Err("serve set needs at least one core per request".into());
     }
-    let mut blocks = Vec::new();
-    let mut assignment = Vec::new();
-    let mut tags = Vec::new();
+    let mut program = Program::default();
     let mut metas = Vec::with_capacity(requests.len());
     for (r, req) in requests.iter().enumerate() {
         req.validate()
             .map_err(|e| format!("serve request {r} ({}): {e}", req.label()))?;
-        let shape = req.shape();
-        if l_tile == 0 || !shape.seq_len.is_multiple_of(l_tile) {
-            return Err(format!(
-                "serve request {r}: l_tile {l_tile} must divide seq_len {}",
-                shape.seq_len
-            ));
-        }
-        let sub_cfg = TraceGenConfig {
-            num_cores: cores_per_request,
-            ..*cfg
-        };
-        let mapping = req.mapping(layout, l_tile, cores_per_request);
-        mapping
-            .validate(&shape)
+        let cores = (0, cores_per_request);
+        let meta = append_request(&mut program, r, &**req, cores, layout, l_tile, cfg)
             .map_err(|e| format!("serve request {r}: {e}"))?;
-        let (mut program, meta) = req.generate(&mapping, &sub_cfg);
-        if program.blocks.is_empty() {
+        if meta.num_blocks == 0 {
             return Err(format!("serve request {r}: trace has no thread blocks"));
         }
-        let offset = r as Addr * REQUEST_VA_STRIDE;
-        for block in &mut program.blocks {
-            relocate(block, offset);
-        }
-        for (block, core) in program.blocks.into_iter().zip(program.assignment) {
-            debug_assert!(core < cores_per_request);
-            blocks.push(block);
-            assignment.push(core);
-            tags.push(r as u32);
-        }
+        program.request_tags.resize(program.num_blocks(), r as u32);
         metas.push(meta);
     }
-    let meta = MixMeta {
-        num_blocks: blocks.len(),
-        total_load_bytes: metas.iter().map(|m| m.total_load_bytes).sum(),
-        total_store_bytes: metas.iter().map(|m| m.total_store_bytes).sum(),
-        max_block_instrs: metas.iter().map(|m| m.max_block_instrs).max().unwrap_or(0),
-        per_request: metas,
-    };
-    Ok((
-        Program::with_requests(blocks, assignment, tags, Vec::new()),
-        meta,
-    ))
+    Ok((program, MixMeta::over(metas)))
 }
 
-/// Shifts a block's memory accesses into a tenant's address space.
+/// Generates request `r` solo on the `(start, count)` core range and
+/// appends it to `program`: its blocks relocated into the tenant's
+/// address space, its home cores offset to `start`. Tags and arrivals
+/// are the caller's.
+fn append_request(
+    program: &mut Program,
+    r: usize,
+    workload: &dyn Workload,
+    (start, count): (usize, usize),
+    layout: Layout,
+    l_tile: usize,
+    cfg: &TraceGenConfig,
+) -> Result<TraceMeta, String> {
+    let shape = workload.shape();
+    if l_tile == 0 || !shape.seq_len.is_multiple_of(l_tile) {
+        return Err(format!(
+            "l_tile {l_tile} must divide seq_len {}",
+            shape.seq_len
+        ));
+    }
+    let sub_cfg = TraceGenConfig {
+        num_cores: count,
+        ..*cfg
+    };
+    let mapping = workload.mapping(layout, l_tile, count);
+    mapping.validate(&shape)?;
+    let first = program.num_blocks();
+    let meta = workload.generate_into(&mapping, &sub_cfg, program);
+    relocate(
+        program.blocks.instrs_from_mut(first),
+        r as Addr * REQUEST_VA_STRIDE,
+    );
+    for core in &mut program.assignment[first..] {
+        debug_assert!(*core < count);
+        *core += start;
+    }
+    Ok(meta)
+}
+
+/// Shifts memory accesses into a tenant's address space.
 /// Shared-prefix KV lines (at/above
 /// [`SHARED_KV_BASE`](llamcat_sim::kv::SHARED_KV_BASE)) are left in
 /// place: one copy across all tenants is the whole point of a shared
 /// system prompt.
-fn relocate(block: &mut ThreadBlock, offset: Addr) {
+fn relocate(instrs: &mut [Instr], offset: Addr) {
     use llamcat_sim::kv::SHARED_KV_BASE;
-    for instr in &mut block.instrs {
+    for instr in instrs {
         match instr {
             Instr::Load { addr, .. } | Instr::Store { addr, .. } => {
                 if *addr >= SHARED_KV_BASE {
@@ -470,7 +453,7 @@ mod tests {
         for tb in 0..p.num_blocks() {
             let r = p.request_of(tb) as usize;
             cores[r].insert(p.assignment[tb]);
-            for i in &p.blocks[tb].instrs {
+            for i in p.block(tb) {
                 if let Instr::Load { addr, .. } | Instr::Store { addr, .. } = i {
                     lines[r].insert(addr / 64);
                     assert_eq!(
@@ -589,7 +572,7 @@ mod tests {
         assert!(tags.windows(2).all(|w| w[0] <= w[1]));
         // Disjoint tenant address spaces, as for closed mixes.
         for tb in 0..p.num_blocks() {
-            for i in &p.blocks[tb].instrs {
+            for i in p.block(tb) {
                 if let Instr::Load { addr, .. } | Instr::Store { addr, .. } = i {
                     assert_eq!((addr / REQUEST_VA_STRIDE) as u32, p.request_of(tb));
                 }
@@ -627,7 +610,7 @@ mod tests {
         let mut shared_lines: Vec<HashSet<u64>> = vec![HashSet::new(), HashSet::new()];
         for tb in 0..p.num_blocks() {
             let r = p.request_of(tb) as usize;
-            for i in &p.blocks[tb].instrs {
+            for i in p.block(tb) {
                 if let Instr::Load { addr, .. } | Instr::Store { addr, .. } = i {
                     if *addr >= SHARED_KV_BASE {
                         shared_lines[r].insert(addr / 64);

@@ -10,7 +10,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use llamcat_sim::prog::{Instr, Program, ThreadBlock};
+use llamcat_sim::prog::{traffic, Instr, Program};
 
 use crate::mapping::{Dim, Level, LoopKind, Mapping, TbOrder};
 use crate::workload::{LogitOp, ELEM_BYTES};
@@ -41,7 +41,7 @@ impl Default for TraceGenConfig {
 }
 
 /// Summary of a generated trace (used by tests and reports).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceMeta {
     pub num_blocks: usize,
     pub total_load_bytes: u64,
@@ -54,15 +54,15 @@ pub struct TraceMeta {
 /// Panics if the mapping is invalid for the operator (call
 /// [`Mapping::validate`] first for a graceful error).
 pub fn generate(op: &LogitOp, mapping: &Mapping, cfg: &TraceGenConfig) -> (Program, TraceMeta) {
-    generate_with(op, mapping, cfg, |h, g, lt, l_tile| {
-        logit_block(op, cfg, h, g, lt, l_tile)
+    generate_with(op, mapping, cfg, |h, g, lt, l_tile, out| {
+        logit_block(op, cfg, h, g, lt, l_tile, out)
     })
 }
 
 /// Generates a program for any workload sharing the {H, G, L, D}
 /// iteration space: the mapping decides thread-block enumeration order
-/// and core assignment, `build` supplies each block's instruction
-/// stream (`(h, g, l_tile_index, l_tile_extent) -> ThreadBlock`).
+/// and core assignment, `build` appends each block's instruction
+/// stream (`(h, g, l_tile_index, l_tile_extent, out)`).
 ///
 /// This is the open extension point behind
 /// [`Workload::generate`](crate::workloads::Workload::generate):
@@ -78,22 +78,49 @@ pub fn generate_with<F>(
     build: F,
 ) -> (Program, TraceMeta)
 where
-    F: Fn(usize, usize, usize, usize) -> ThreadBlock,
+    F: Fn(usize, usize, usize, usize, &mut Vec<Instr>),
+{
+    let mut program = Program::default();
+    let meta = generate_into(op, mapping, cfg, &mut program, build);
+    (program, meta)
+}
+
+/// [`generate_with`], appending to an existing program: the blocks go
+/// onto the end of `program`'s instruction table and their home cores
+/// onto its assignment, without a copy. Request tags and arrivals are
+/// left to the caller (the multi-tenant composers in [`crate::mix`]).
+/// Returns the metadata of the appended blocks alone.
+pub fn generate_into<F>(
+    op: &LogitOp,
+    mapping: &Mapping,
+    cfg: &TraceGenConfig,
+    program: &mut Program,
+    build: F,
+) -> TraceMeta
+where
+    F: Fn(usize, usize, usize, usize, &mut Vec<Instr>),
 {
     mapping
         .validate(op)
         .expect("mapping must be valid for the operator");
     let l_tile = mapping.l1_l_tile();
     let n_ltiles = op.seq_len / l_tile;
+    let mut out = Emitter {
+        program,
+        build,
+        l_tile,
+        expected: op.heads * op.group_size * n_ltiles,
+        meta: TraceMeta::default(),
+    };
 
     let spatial_h = mapping
         .level(Level::L2)
         .iter()
         .any(|l| l.dim == Dim::H && l.kind == LoopKind::Spatial);
-    let (blocks, assignment) = if spatial_h {
-        generate_pair_stream(op, cfg, l_tile, n_ltiles, &build)
+    if spatial_h {
+        generate_pair_stream(op, cfg, n_ltiles, &mut out);
     } else if mapping.is_spatial() {
-        generate_spatial(op, mapping, cfg, l_tile, n_ltiles, &build)
+        generate_spatial(op, mapping, cfg, n_ltiles, &mut out);
     } else {
         // Round-robin: thread-block enumeration order from the L2-level
         // temporal loops, consecutive blocks on consecutive cores.
@@ -103,22 +130,48 @@ where
             .filter(|l| l.kind == LoopKind::Temporal)
             .map(|l| l.dim)
             .collect();
-        let mut blocks = Vec::with_capacity(op.heads * op.group_size * n_ltiles);
-        let mut emit = |h: usize, g: usize, lt: usize| {
-            blocks.push(build(h, g, lt, l_tile));
-        };
-        iterate(&order, op, n_ltiles, &mut emit);
-        let assignment = (0..blocks.len()).map(|i| i % cfg.num_cores).collect();
-        (blocks, assignment)
-    };
+        iterate(&order, op, n_ltiles, &mut |h, g, lt| {
+            let core = out.meta.num_blocks % cfg.num_cores;
+            out.emit(h, g, lt, core);
+        });
+    }
+    out.meta
+}
 
-    let meta = TraceMeta {
-        num_blocks: blocks.len(),
-        total_load_bytes: blocks.iter().map(|b| b.bytes_loaded()).sum(),
-        total_store_bytes: blocks.iter().map(|b| b.bytes_stored()).sum(),
-        max_block_instrs: blocks.iter().map(|b| b.instrs.len()).max().unwrap_or(0),
-    };
-    (Program::new(blocks, assignment), meta)
+/// Appends blocks to a program's table as the layouts enumerate them,
+/// accumulating their [`TraceMeta`].
+struct Emitter<'a, F> {
+    program: &'a mut Program,
+    build: F,
+    l_tile: usize,
+    /// Blocks the layout will emit (sizes the table after the first).
+    expected: usize,
+    meta: TraceMeta,
+}
+
+impl<F: Fn(usize, usize, usize, usize, &mut Vec<Instr>)> Emitter<'_, F> {
+    fn emit(&mut self, h: usize, g: usize, lt: usize, core: usize) {
+        let (build, l_tile) = (&self.build, self.l_tile);
+        let block = self
+            .program
+            .blocks
+            .push_with(|out| build(h, g, lt, l_tile, out));
+        let (load, store) = traffic(block);
+        let len = block.len();
+        self.program.assignment.push(core);
+        let meta = &mut self.meta;
+        if meta.num_blocks == 0 {
+            // Blocks of one workload are (near-)uniform: size the table
+            // from the first so it is written once, without regrowth.
+            let rest = self.expected.saturating_sub(1);
+            self.program.blocks.reserve(rest, rest * len);
+            self.program.assignment.reserve(rest);
+        }
+        meta.num_blocks += 1;
+        meta.total_load_bytes += load;
+        meta.total_store_bytes += store;
+        meta.max_block_instrs = meta.max_block_instrs.max(len);
+    }
 }
 
 /// Pair-stream dataflow: (h, g) output pairs round-robin over cores,
@@ -129,25 +182,18 @@ where
 fn generate_pair_stream<F>(
     op: &LogitOp,
     cfg: &TraceGenConfig,
-    l_tile: usize,
     n_ltiles: usize,
-    build: &F,
-) -> (Vec<ThreadBlock>, Vec<usize>)
-where
-    F: Fn(usize, usize, usize, usize) -> ThreadBlock,
+    out: &mut Emitter<'_, F>,
+) where
+    F: Fn(usize, usize, usize, usize, &mut Vec<Instr>),
 {
-    let pairs = op.heads * op.group_size;
-    let mut blocks = Vec::with_capacity(pairs * n_ltiles);
-    let mut assignment = Vec::with_capacity(pairs * n_ltiles);
-    for p in 0..pairs {
+    for p in 0..op.heads * op.group_size {
         let (h, g) = (p / op.group_size, p % op.group_size);
         let core = p % cfg.num_cores;
         for lt in 0..n_ltiles {
-            blocks.push(build(h, g, lt, l_tile));
-            assignment.push(core);
+            out.emit(h, g, lt, core);
         }
     }
-    (blocks, assignment)
 }
 
 /// Spatial dataflow: query heads (and L segments) pinned to cores; all
@@ -159,19 +205,15 @@ fn generate_spatial<F>(
     op: &LogitOp,
     mapping: &Mapping,
     cfg: &TraceGenConfig,
-    l_tile: usize,
     n_ltiles: usize,
-    build: &F,
-) -> (Vec<ThreadBlock>, Vec<usize>)
-where
-    F: Fn(usize, usize, usize, usize) -> ThreadBlock,
+    out: &mut Emitter<'_, F>,
+) where
+    F: Fn(usize, usize, usize, usize, &mut Vec<Instr>),
 {
     let gs = mapping.spatial_g();
     let gt = op.group_size / gs;
     let segments = mapping.spatial_l_segments();
     let tiles_per_seg = n_ltiles / segments;
-    let mut blocks = Vec::with_capacity(op.heads * op.group_size * n_ltiles);
-    let mut assignment = Vec::with_capacity(blocks.capacity());
     for h in 0..op.heads {
         for gi in 0..gt {
             for t in 0..tiles_per_seg {
@@ -182,14 +224,12 @@ where
                         let g = gsi * gt + gi;
                         let lt = seg * tiles_per_seg + t;
                         let core = (gsi * segments + seg) % cfg.num_cores;
-                        blocks.push(build(h, g, lt, l_tile));
-                        assignment.push(core);
+                        out.emit(h, g, lt, core);
                     }
                 }
             }
         }
     }
-    (blocks, assignment)
 }
 
 /// Convenience: generate with the paper's default spatial mapping.
@@ -241,9 +281,9 @@ fn iterate(
     }
 }
 
-/// Builds the instruction stream of one decode-Logit thread block:
-/// load the Q row, stream the K rows of the L tile with amortized
-/// compute, barrier, store the tile's scores.
+/// Appends the instruction stream of one decode-Logit thread block to
+/// `out`: load the Q row, stream the K rows of the L tile with
+/// amortized compute, barrier, store the tile's scores.
 pub fn logit_block(
     op: &LogitOp,
     cfg: &TraceGenConfig,
@@ -251,41 +291,53 @@ pub fn logit_block(
     g: usize,
     lt: usize,
     l_tile: usize,
-) -> ThreadBlock {
+    out: &mut Vec<Instr>,
+) {
     let vlen = cfg.vector_len_bytes;
     let row_bytes = op.k_row_bytes();
-    let mut instrs = Vec::with_capacity(l_tile * 2 + l_tile / 2 + 8);
 
     // Load the Q row for (h, g).
-    let q0 = op.q_addr(h, g, 0);
-    push_vector_accesses(&mut instrs, q0, row_bytes, vlen, false);
+    push_vector_accesses(out, op.q_addr(h, g, 0), row_bytes, vlen, false);
 
     // Stream the K rows of the tile, interleaving amortized compute.
     let l0 = lt * l_tile;
+    stream_rows(out, cfg, l_tile, cfg.compute_cycles_per_row, |li, out| {
+        push_vector_accesses(out, op.k_addr(h, l0 + li, 0), row_bytes, vlen, false);
+    });
+
+    // Reduction barrier, then store the tile's scores.
+    out.push(Instr::Barrier);
+    let s0 = op.score_addr(h, g, l0);
+    push_vector_accesses(out, s0, l_tile as u64 * ELEM_BYTES, vlen, true);
+}
+
+/// Appends `rows` streamed rows (`row(li, out)` appends row `li`'s
+/// accesses) with their compute amortized: `cycles_per_row` cycles per
+/// row, flushed as one `Compute` every `cfg.compute_flush_rows` rows and
+/// once more for any remainder (shared by all workload block builders).
+pub fn stream_rows(
+    out: &mut Vec<Instr>,
+    cfg: &TraceGenConfig,
+    rows: usize,
+    cycles_per_row: u32,
+    mut row: impl FnMut(usize, &mut Vec<Instr>),
+) {
     let mut pending_compute = 0u32;
-    for li in 0..l_tile {
-        let k0 = op.k_addr(h, l0 + li, 0);
-        push_vector_accesses(&mut instrs, k0, row_bytes, vlen, false);
-        pending_compute += cfg.compute_cycles_per_row;
+    for li in 0..rows {
+        row(li, out);
+        pending_compute += cycles_per_row;
         if (li + 1) % cfg.compute_flush_rows == 0 && pending_compute > 0 {
-            instrs.push(Instr::Compute {
+            out.push(Instr::Compute {
                 cycles: pending_compute,
             });
             pending_compute = 0;
         }
     }
     if pending_compute > 0 {
-        instrs.push(Instr::Compute {
+        out.push(Instr::Compute {
             cycles: pending_compute,
         });
     }
-
-    // Reduction barrier, then store the tile's scores.
-    instrs.push(Instr::Barrier);
-    let s0 = op.score_addr(h, g, l0);
-    push_vector_accesses(&mut instrs, s0, l_tile as u64 * ELEM_BYTES, vlen, true);
-
-    ThreadBlock { instrs }
 }
 
 /// Splits a contiguous `bytes`-long access at `base` into vector-width
@@ -371,8 +423,7 @@ mod tests {
         let (p, _) = generate(&op, &m, &TraceGenConfig::default());
         // Blocks 0..group_size must all read the same K lines.
         let k_lines = |tb: usize| -> HashSet<u64> {
-            p.blocks[tb]
-                .instrs
+            p.block(tb)
                 .iter()
                 .filter_map(|i| match i {
                     Instr::Load { addr, .. } if *addr >= crate::workload::K_BASE => {
@@ -398,8 +449,7 @@ mod tests {
         let (p, _) = generate(&op, &m, &TraceGenConfig::default());
         // Adjacent blocks stream different K tiles.
         let k_addrs = |tb: usize| -> Vec<u64> {
-            p.blocks[tb]
-                .instrs
+            p.block(tb)
                 .iter()
                 .filter_map(|i| match i {
                     Instr::Load { addr, .. } if *addr >= crate::workload::K_BASE => Some(*addr),
@@ -416,8 +466,8 @@ mod tests {
         let m = logit_mapping(&op, 32, TbOrder::GInner);
         let (p, _) = generate(&op, &m, &TraceGenConfig::default());
         let mut lines = HashSet::new();
-        for b in &p.blocks {
-            for i in &b.instrs {
+        for b in p.blocks.iter() {
+            for i in b {
                 if let Instr::Store { addr, bytes } = i {
                     let mut a = *addr;
                     while a < addr + *bytes as u64 {
@@ -439,8 +489,8 @@ mod tests {
             ..Default::default()
         };
         let (p, _) = generate(&op, &m, &cfg);
-        let total: u32 = p.blocks[0]
-            .instrs
+        let total: u32 = p
+            .block(0)
             .iter()
             .map(|i| match i {
                 Instr::Compute { cycles } => *cycles,

@@ -35,13 +35,13 @@ use std::fmt;
 use std::sync::Arc;
 
 use llamcat_sim::kv::SHARED_KV_BASE;
-use llamcat_sim::prog::{Instr, Program, ThreadBlock};
+use llamcat_sim::prog::{Instr, Program};
 use llamcat_sim::types::Addr;
 use serde::{Deserialize, Serialize};
 
 use crate::mapping::{Layout, Mapping};
 use crate::tracegen::{
-    generate_with, logit_block, push_vector_accesses, TraceGenConfig, TraceMeta,
+    generate_into, logit_block, push_vector_accesses, stream_rows, TraceGenConfig, TraceMeta,
 };
 use crate::workload::{LogitOp, ELEM_BYTES};
 
@@ -66,8 +66,9 @@ pub trait Workload: fmt::Debug + Send + Sync {
     /// The {H, G, L, D} iteration space the mapping machinery tiles.
     fn shape(&self) -> LogitOp;
 
-    /// Builds the instruction stream of one thread block
-    /// (`(h, g, l_tile_index, l_tile_extent)`).
+    /// Appends the instruction stream of one thread block
+    /// (`(h, g, l_tile_index, l_tile_extent)`) to `out`, the end of the
+    /// program's instruction table.
     fn build_block(
         &self,
         cfg: &TraceGenConfig,
@@ -75,7 +76,8 @@ pub trait Workload: fmt::Debug + Send + Sync {
         g: usize,
         lt: usize,
         l_tile: usize,
-    ) -> ThreadBlock;
+        out: &mut Vec<Instr>,
+    );
 
     /// Validates the workload shape (graceful error, no panics).
     fn validate(&self) -> Result<(), String> {
@@ -92,10 +94,27 @@ pub trait Workload: fmt::Debug + Send + Sync {
     /// Panics if the mapping is invalid for the shape; validate first
     /// ([`Mapping::validate`]) for a graceful error.
     fn generate(&self, mapping: &Mapping, cfg: &TraceGenConfig) -> (Program, TraceMeta) {
-        let shape = self.shape();
-        generate_with(&shape, mapping, cfg, |h, g, lt, l_tile| {
-            self.build_block(cfg, h, g, lt, l_tile)
-        })
+        let mut program = Program::default();
+        let meta = self.generate_into(mapping, cfg, &mut program);
+        (program, meta)
+    }
+
+    /// [`Workload::generate`], appending the blocks (and their home
+    /// cores) to an existing program; see
+    /// [`crate::tracegen::generate_into`].
+    fn generate_into(
+        &self,
+        mapping: &Mapping,
+        cfg: &TraceGenConfig,
+        program: &mut Program,
+    ) -> TraceMeta {
+        generate_into(
+            &self.shape(),
+            mapping,
+            cfg,
+            program,
+            |h, g, lt, l_tile, out| self.build_block(cfg, h, g, lt, l_tile, out),
+        )
     }
 }
 
@@ -131,8 +150,9 @@ impl Workload for LogitWorkload {
         g: usize,
         lt: usize,
         l_tile: usize,
-    ) -> ThreadBlock {
-        logit_block(&self.op, cfg, h, g, lt, l_tile)
+        out: &mut Vec<Instr>,
+    ) {
+        logit_block(&self.op, cfg, h, g, lt, l_tile, out)
     }
 }
 
@@ -187,18 +207,18 @@ impl Workload for AttnOutputWorkload {
         g: usize,
         lt: usize,
         l_tile: usize,
-    ) -> ThreadBlock {
+        out: &mut Vec<Instr>,
+    ) {
         let op = &self.op;
         let vlen = cfg.vector_len_bytes;
         let row_bytes = op.k_row_bytes();
         let n_ltiles = op.seq_len / l_tile;
         let l0 = lt * l_tile;
-        let mut instrs = Vec::with_capacity(l_tile * 2 + l_tile / 2 + 8);
 
         // Load the probability tile A[h][g][l0 .. l0+l_tile] (produced
         // by the Logit operator at the same addresses).
         push_vector_accesses(
-            &mut instrs,
+            out,
             op.score_addr(h, g, l0),
             l_tile as u64 * ELEM_BYTES,
             vlen,
@@ -206,39 +226,19 @@ impl Workload for AttnOutputWorkload {
         );
 
         // Stream the V rows of the tile, interleaving amortized compute.
-        let mut pending_compute = 0u32;
-        for li in 0..l_tile {
-            push_vector_accesses(
-                &mut instrs,
-                self.v_addr(h, l0 + li, 0),
-                row_bytes,
-                vlen,
-                false,
-            );
-            pending_compute += cfg.compute_cycles_per_row;
-            if (li + 1) % cfg.compute_flush_rows == 0 && pending_compute > 0 {
-                instrs.push(Instr::Compute {
-                    cycles: pending_compute,
-                });
-                pending_compute = 0;
-            }
-        }
-        if pending_compute > 0 {
-            instrs.push(Instr::Compute {
-                cycles: pending_compute,
-            });
-        }
+        stream_rows(out, cfg, l_tile, cfg.compute_cycles_per_row, |li, out| {
+            push_vector_accesses(out, self.v_addr(h, l0 + li, 0), row_bytes, vlen, false);
+        });
 
         // Reduce, then store this tile's partial output row.
-        instrs.push(Instr::Barrier);
+        out.push(Instr::Barrier);
         push_vector_accesses(
-            &mut instrs,
+            out,
             self.partial_out_addr(h, g, lt, n_ltiles),
             row_bytes,
             vlen,
             true,
         );
-        ThreadBlock { instrs }
     }
 }
 
@@ -315,56 +315,42 @@ impl Workload for PrefillLogitWorkload {
         g: usize,
         lt: usize,
         l_tile: usize,
-    ) -> ThreadBlock {
+        out: &mut Vec<Instr>,
+    ) {
         let op = &self.op;
         let t_count = self.query_tokens;
         let vlen = cfg.vector_len_bytes;
         let row_bytes = op.k_row_bytes();
         let l0 = lt * l_tile;
-        let mut instrs = Vec::with_capacity(l_tile * 2 + t_count * 3 + 8);
 
         // Load the chunk's Q rows for (h, g).
         for t in 0..t_count {
-            push_vector_accesses(&mut instrs, self.q_addr(h, g, t, 0), row_bytes, vlen, false);
+            push_vector_accesses(out, self.q_addr(h, g, t, 0), row_bytes, vlen, false);
         }
 
         // Stream the K rows of the tile once; every row feeds
         // `query_tokens` dot products.
-        let mut pending_compute = 0u32;
-        for li in 0..l_tile {
-            push_vector_accesses(
-                &mut instrs,
-                op.k_addr(h, l0 + li, 0),
-                row_bytes,
-                vlen,
-                false,
-            );
-            pending_compute += cfg.compute_cycles_per_row * t_count as u32;
-            if (li + 1) % cfg.compute_flush_rows == 0 && pending_compute > 0 {
-                instrs.push(Instr::Compute {
-                    cycles: pending_compute,
-                });
-                pending_compute = 0;
-            }
-        }
-        if pending_compute > 0 {
-            instrs.push(Instr::Compute {
-                cycles: pending_compute,
-            });
-        }
+        stream_rows(
+            out,
+            cfg,
+            l_tile,
+            cfg.compute_cycles_per_row * t_count as u32,
+            |li, out| {
+                push_vector_accesses(out, op.k_addr(h, l0 + li, 0), row_bytes, vlen, false);
+            },
+        );
 
         // Barrier, then one score tile per query token.
-        instrs.push(Instr::Barrier);
+        out.push(Instr::Barrier);
         for t in 0..t_count {
             push_vector_accesses(
-                &mut instrs,
+                out,
                 self.score_addr(h, g, t, l0),
                 l_tile as u64 * ELEM_BYTES,
                 vlen,
                 true,
             );
         }
-        ThreadBlock { instrs }
     }
 }
 
@@ -429,52 +415,38 @@ impl Workload for SharedPrefixWorkload {
         g: usize,
         lt: usize,
         l_tile: usize,
-    ) -> ThreadBlock {
+        out: &mut Vec<Instr>,
+    ) {
         let op = &self.op;
         let vlen = cfg.vector_len_bytes;
         let row_bytes = op.k_row_bytes();
         let prefix = self.effective_prefix();
         let l0 = lt * l_tile;
-        let mut instrs = Vec::with_capacity(l_tile * 2 + l_tile / 2 + 8);
 
         // Load the Q row for (h, g).
-        push_vector_accesses(&mut instrs, op.q_addr(h, g, 0), row_bytes, vlen, false);
+        push_vector_accesses(out, op.q_addr(h, g, 0), row_bytes, vlen, false);
 
         // Stream the K rows of the tile: shared-window rows for the
         // prefix, per-request rows for the rest.
-        let mut pending_compute = 0u32;
-        for li in 0..l_tile {
+        stream_rows(out, cfg, l_tile, cfg.compute_cycles_per_row, |li, out| {
             let l = l0 + li;
             let k0 = if l < prefix {
                 self.shared_k_addr(h, l, 0)
             } else {
                 op.k_addr(h, l, 0)
             };
-            push_vector_accesses(&mut instrs, k0, row_bytes, vlen, false);
-            pending_compute += cfg.compute_cycles_per_row;
-            if (li + 1) % cfg.compute_flush_rows == 0 && pending_compute > 0 {
-                instrs.push(Instr::Compute {
-                    cycles: pending_compute,
-                });
-                pending_compute = 0;
-            }
-        }
-        if pending_compute > 0 {
-            instrs.push(Instr::Compute {
-                cycles: pending_compute,
-            });
-        }
+            push_vector_accesses(out, k0, row_bytes, vlen, false);
+        });
 
         // Reduction barrier, then store the tile's scores (per-request).
-        instrs.push(Instr::Barrier);
+        out.push(Instr::Barrier);
         push_vector_accesses(
-            &mut instrs,
+            out,
             op.score_addr(h, g, l0),
             l_tile as u64 * ELEM_BYTES,
             vlen,
             true,
         );
-        ThreadBlock { instrs }
     }
 }
 
@@ -535,49 +507,41 @@ impl Workload for GqaDecodeWorkload {
         g: usize,
         lt: usize,
         l_tile: usize,
-    ) -> ThreadBlock {
+        out: &mut Vec<Instr>,
+    ) {
         let op = &self.op;
         let vlen = cfg.vector_len_bytes;
         let row_bytes = op.k_row_bytes();
         let n_ltiles = op.seq_len / l_tile;
         let l0 = lt * l_tile;
-        let mut instrs = Vec::with_capacity(l_tile * 4 + l_tile / 2 + 8);
 
         // Load the Q row for (h, g).
-        push_vector_accesses(&mut instrs, op.q_addr(h, g, 0), row_bytes, vlen, false);
+        push_vector_accesses(out, op.q_addr(h, g, 0), row_bytes, vlen, false);
 
         // Stream K and V rows of the tile back to back: score the row,
         // then immediately fold it into the output accumulator.
-        let mut pending_compute = 0u32;
-        for li in 0..l_tile {
-            let l = l0 + li;
-            push_vector_accesses(&mut instrs, op.k_addr(h, l, 0), row_bytes, vlen, false);
-            push_vector_accesses(&mut instrs, self.v_addr(h, l, 0), row_bytes, vlen, false);
-            pending_compute += 2 * cfg.compute_cycles_per_row;
-            if (li + 1) % cfg.compute_flush_rows == 0 && pending_compute > 0 {
-                instrs.push(Instr::Compute {
-                    cycles: pending_compute,
-                });
-                pending_compute = 0;
-            }
-        }
-        if pending_compute > 0 {
-            instrs.push(Instr::Compute {
-                cycles: pending_compute,
-            });
-        }
+        stream_rows(
+            out,
+            cfg,
+            l_tile,
+            2 * cfg.compute_cycles_per_row,
+            |li, out| {
+                let l = l0 + li;
+                push_vector_accesses(out, op.k_addr(h, l, 0), row_bytes, vlen, false);
+                push_vector_accesses(out, self.v_addr(h, l, 0), row_bytes, vlen, false);
+            },
+        );
 
         // Rescale/reduce, then store the tile's partial output row;
         // scores stay in registers.
-        instrs.push(Instr::Barrier);
+        out.push(Instr::Barrier);
         push_vector_accesses(
-            &mut instrs,
+            out,
             self.partial_out_addr(h, g, lt, n_ltiles),
             row_bytes,
             vlen,
             true,
         );
-        ThreadBlock { instrs }
     }
 }
 
@@ -778,10 +742,7 @@ mod tests {
         let (p_new, meta_new) = w.generate(&mapping, &cfg);
         let (p_old, meta_old) = crate::tracegen::generate(&op, &mapping, &cfg);
         assert_eq!(meta_new, meta_old);
-        assert_eq!(p_new.blocks.len(), p_old.blocks.len());
-        for (a, b) in p_new.blocks.iter().zip(&p_old.blocks) {
-            assert_eq!(a.instrs, b.instrs);
-        }
+        assert_eq!(p_new.blocks, p_old.blocks);
     }
 
     #[test]
@@ -793,8 +754,8 @@ mod tests {
         // Same stream volume as the logit operator's K traffic, but all
         // bulk loads land in the V region and the per-pair row loads in
         // the score (A) region; nothing touches K.
-        for b in &p.blocks {
-            for i in &b.instrs {
+        for b in p.blocks.iter() {
+            for i in b {
                 if let Instr::Load { addr, .. } = i {
                     let in_v = (V_BASE..OUT_BASE).contains(addr);
                     let in_a = (SCORE_BASE..V_BASE).contains(addr);
@@ -823,8 +784,8 @@ mod tests {
         let mapping = w.mapping(Layout::PairStream, 32, cfg.num_cores);
         let (p, _) = w.generate(&mapping, &cfg);
         let mut lines = HashSet::new();
-        for b in &p.blocks {
-            for i in &b.instrs {
+        for b in p.blocks.iter() {
+            for i in b {
                 if let Instr::Store { addr, bytes } = i {
                     let mut a = *addr;
                     while a < addr + *bytes as u64 {
@@ -883,8 +844,8 @@ mod tests {
         let mapping = w.mapping(Layout::PairStream, 32, cfg.num_cores);
         let (p, meta) = w.generate(&mapping, &cfg);
         let (mut shared_bytes, mut private_bytes) = (0u64, 0u64);
-        for b in &p.blocks {
-            for i in &b.instrs {
+        for b in p.blocks.iter() {
+            for i in b {
                 match i {
                     Instr::Load { addr, bytes } if *addr >= SHARED_KV_BASE => {
                         shared_bytes += *bytes as u64;
@@ -934,8 +895,8 @@ mod tests {
         let cfg = TraceGenConfig::default();
         let mapping = all.mapping(Layout::PairStream, 32, cfg.num_cores);
         let (p, _) = all.generate(&mapping, &cfg);
-        for b in &p.blocks {
-            for i in &b.instrs {
+        for b in p.blocks.iter() {
+            for i in b {
                 if let Instr::Load { addr, .. } = i {
                     let in_q = *addr < K_BASE;
                     assert!(
@@ -948,8 +909,8 @@ mod tests {
         // prefix_len = 0 degrades to plain decode Logit placement.
         let none = SharedPrefixWorkload::new(op, 0);
         let (p, _) = none.generate(&mapping, &cfg);
-        for b in &p.blocks {
-            for i in &b.instrs {
+        for b in p.blocks.iter() {
+            for i in b {
                 if let Instr::Load { addr, .. } = i {
                     assert!(*addr < SCORE_BASE, "no shared traffic at p0");
                 }
@@ -976,8 +937,8 @@ mod tests {
             meta.total_store_bytes,
             meta.num_blocks as u64 * op.k_row_bytes()
         );
-        for b in &p.blocks {
-            for i in &b.instrs {
+        for b in p.blocks.iter() {
+            for i in b {
                 match i {
                     Instr::Load { addr, .. } => assert!(
                         *addr < SCORE_BASE || (V_BASE..OUT_BASE).contains(addr),

@@ -4,8 +4,15 @@
 //! Unlike a work-stealing pool, this shim splits the input slice into one
 //! contiguous chunk per available core and runs them on scoped threads.
 //! Results come back in input order, matching rayon's indexed collect
-//! semantics. For the workspace's workloads (independent, similarly-sized
-//! simulations) static chunking is within noise of work stealing.
+//! semantics.
+//!
+//! Static chunking is not free: a chunk of slow items leaves the other
+//! threads idle. The repository benchmark (`perfbench`) measures a
+//! campaign's parallel efficiency (`campaign.parallel_eff`, busy thread
+//! time over threads x wall time) at 0.935 on `decode-grid`, whose cells
+//! are similar, but only 0.726 on `triage-sweep`, whose scenario builds
+//! differ up to eightfold in size. Work stealing would recover part of
+//! that gap.
 
 pub mod prelude {
     pub use crate::{IntoParallelRefIterator, ParIter, ParMap};
