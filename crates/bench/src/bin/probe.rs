@@ -2,15 +2,17 @@
 //!
 //! Usage: `probe [seq_len] [model=70b|405b] [l2_mb]`
 
-use llamcat::experiment::{Experiment, Model, Policy};
+use llamcat::experiment::Experiment;
+use llamcat::spec::PolicySpec;
+use llamcat_trace::workloads::WorkloadSpec;
 use std::time::Instant;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let seq_len: usize = args.get(1).map(|s| s.parse().unwrap()).unwrap_or(2048);
-    let model = match args.get(2).map(|s| s.as_str()) {
-        Some("405b") => Model::Llama3_405b,
-        _ => Model::Llama3_70b,
+    let (model_name, model) = match args.get(2).map(|s| s.as_str()) {
+        Some("405b") => ("405b", WorkloadSpec::llama3_405b()),
+        _ => ("70b", WorkloadSpec::llama3_70b()),
     };
     let l2_mb: u64 = args.get(3).map(|s| s.parse().unwrap()).unwrap_or(16);
     let l1_entries: usize = args.get(4).map(|s| s.parse().unwrap()).unwrap_or(16);
@@ -18,25 +20,17 @@ fn main() {
     let hit_occ: u64 = args.get(6).map(|s| s.parse().unwrap()).unwrap_or(25);
 
     let policies = [
-        Policy::unoptimized(),
-        Policy::dyncta(),
-        Policy::lcs(),
-        Policy::cobrra(),
-        Policy::dynmg(),
-        Policy::dynmg_b(),
-        Policy::dynmg_ma(),
-        Policy::dynmg_bma(),
-        Policy::dynmg_cobrra(),
+        PolicySpec::unoptimized(),
+        PolicySpec::dyncta(),
+        PolicySpec::lcs(),
+        PolicySpec::cobrra(),
+        PolicySpec::dynmg(),
+        PolicySpec::dynmg_b(),
+        PolicySpec::dynmg_ma(),
+        PolicySpec::dynmg_bma(),
+        PolicySpec::dynmg_cobrra(),
     ];
-    println!(
-        "model={} seq_len={} l2={}MB",
-        match model {
-            Model::Llama3_70b => "70b",
-            Model::Llama3_405b => "405b",
-        },
-        seq_len,
-        l2_mb
-    );
+    println!("model={model_name} seq_len={seq_len} l2={l2_mb}MB");
     println!(
         "{:<14} {:>12} {:>8} {:>7} {:>7} {:>7} {:>7} {:>9} {:>7} {:>8} {:>9} {:>9} {:>6}",
         "policy",
@@ -56,7 +50,7 @@ fn main() {
     let mut base_cycles = None;
     for p in policies {
         let t0 = Instant::now();
-        let mut e = Experiment::new(model, seq_len).l2_mb(l2_mb).policy(p);
+        let mut e = Experiment::new(&model, seq_len).l2_mb(l2_mb).policy(p);
         e.config.l1.miss_entries = l1_entries;
         e.config.l1.miss_targets = l1_targets;
         e.config.l2.hit_occupancy = hit_occ;

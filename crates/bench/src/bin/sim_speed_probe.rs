@@ -10,8 +10,8 @@
 
 use std::time::Instant;
 
-use llamcat::experiment::{Experiment, Model, Policy};
-use llamcat::spec::MixSpec;
+use llamcat::experiment::Experiment;
+use llamcat::spec::{MixSpec, PolicySpec};
 use llamcat_sim::system::StepMode;
 use llamcat_trace::workloads::WorkloadSpec;
 
@@ -38,7 +38,8 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let seq_len: usize = args.get(1).map(|s| s.parse().unwrap()).unwrap_or(2048);
 
-    let decode = Experiment::new(Model::Llama3_70b, seq_len).policy(Policy::unoptimized());
+    let decode =
+        Experiment::new(&WorkloadSpec::llama3_70b(), seq_len).policy(PolicySpec::unoptimized());
     if args.get(2).map(|s| s.as_str()) == Some("decode-cycle") {
         // Profiling target: repeat only the fig7 decode Cycle cell.
         for _ in 0..4 {
@@ -51,10 +52,11 @@ fn main() {
     }
     run("fig7 decode unoptimized", &decode);
 
-    let decode_bma = Experiment::new(Model::Llama3_70b, seq_len).policy(Policy::dynmg_bma());
+    let decode_bma =
+        Experiment::new(&WorkloadSpec::llama3_70b(), seq_len).policy(PolicySpec::dynmg_bma());
     run("fig7 decode dynmg+BMA", &decode_bma);
 
-    let prefill = Experiment::from_spec(
+    let prefill = Experiment::new(
         &WorkloadSpec::PrefillLogit {
             heads: 8,
             group_size: 8,
@@ -63,7 +65,7 @@ fn main() {
         },
         seq_len,
     )
-    .policy(Policy::unoptimized());
+    .policy(PolicySpec::unoptimized());
     run("prefill unoptimized", &prefill);
 
     let mix = MixSpec::partitioned()
@@ -80,6 +82,6 @@ fn main() {
         );
     let mix_exp = Experiment::from_mix_spec(&mix)
         .unwrap()
-        .policy(Policy::dynmg_bma());
+        .policy(PolicySpec::dynmg_bma());
     run("mix decode+prefill dynmg+BMA", &mix_exp);
 }

@@ -119,20 +119,6 @@ pub struct Campaign {
     /// parsing).
     #[serde(default)]
     pub fork_scenarios: bool,
-    /// Batched lockstep execution: cells sharing a scenario fork one
-    /// pre-tick snapshot (exactly as [`Campaign::fork_scenarios`] does)
-    /// and then advance *together* through a
-    /// [`llamcat_sim::batch::SystemBatch`], so the scenario's
-    /// `Arc`-shared immutable state is streamed through the cache once
-    /// per lockstep window instead of once per cell. Subsumes
-    /// `fork_scenarios` (the warm-up-and-fork prefix is the same);
-    /// records land in the same deterministic order with the same
-    /// [`cell_spec_hash`] addresses, byte-identical to both other
-    /// paths (`crates/bench/tests/campaign.rs` pins this). Off by
-    /// default (also the serde default, so archived campaign files
-    /// keep parsing).
-    #[serde(default)]
-    pub batch_cells: bool,
 }
 
 /// One point of the grid, fully self-describing (what to run).
@@ -171,7 +157,7 @@ impl CampaignCell {
         } else {
             match &self.mix {
                 Some(mix) => Experiment::with_mix(mix.instantiate()),
-                None => Experiment::from_spec(&self.workload, self.seq_len),
+                None => Experiment::new(&self.workload, self.seq_len),
             }
         };
         e = e
@@ -284,7 +270,6 @@ impl Campaign {
             max_cycles: None,
             step_mode: StepMode::default(),
             fork_scenarios: false,
-            batch_cells: false,
         }
     }
 
@@ -390,13 +375,6 @@ impl Campaign {
     /// [`Campaign::fork_scenarios`] field).
     pub fn fork_scenarios(mut self, on: bool) -> Self {
         self.fork_scenarios = on;
-        self
-    }
-
-    /// Opts into batched lockstep execution (see the
-    /// [`Campaign::batch_cells`] field).
-    pub fn batch_cells(mut self, on: bool) -> Self {
-        self.batch_cells = on;
         self
     }
 
@@ -857,9 +835,7 @@ impl Campaign {
             }));
         }
 
-        let reports = if self.batch_cells {
-            run_cells_batched(self, &batch)?
-        } else if self.fork_scenarios {
+        let reports = if self.fork_scenarios {
             run_cells_forked(self, &batch)?
         } else {
             let experiments: Vec<Experiment> = batch.iter().map(|c| c.experiment(self)).collect();
@@ -1005,7 +981,21 @@ pub fn cell_spec_hash(machine: &MachineSpec, cell: &CampaignCell) -> u64 {
 /// policy-independent construction work, and [`Experiment::run_forked`]
 /// swaps in freshly-reset policies before any tick.
 fn run_cells_forked(campaign: &Campaign, batch: &[CampaignCell]) -> Result<Vec<RunReport>, String> {
-    let (reps, scenario_of) = group_by_scenario(batch);
+    // Group cells by policy-free scenario key in first-seen order: one
+    // representative cell per scenario plus each cell's scenario index.
+    let mut groups: HashMap<String, usize> = HashMap::new();
+    let mut scenario_of: Vec<usize> = Vec::with_capacity(batch.len());
+    let mut reps: Vec<&CampaignCell> = Vec::new();
+    for cell in batch {
+        let mut key_cell = cell.clone();
+        key_cell.policy = PolicySpec::unoptimized();
+        let key = serde_json::to_string(&key_cell).expect("cell serializes");
+        let g = *groups.entry(key).or_insert_with(|| {
+            reps.push(cell);
+            reps.len() - 1
+        });
+        scenario_of.push(g);
+    }
     // One policy-neutral warm-up per scenario, in parallel.
     let snaps: Vec<Result<ScenarioSnapshot, String>> = reps
         .par_iter()
@@ -1028,78 +1018,6 @@ fn run_cells_forked(campaign: &Campaign, batch: &[CampaignCell]) -> Result<Vec<R
         })
         .collect();
     results.into_iter().collect()
-}
-
-/// Groups a cell batch by policy-free scenario key in first-seen order:
-/// one representative cell per scenario plus each cell's scenario
-/// index. Shared by the forked and batched execution paths so both
-/// carve up a batch identically (and therefore produce records in the
-/// same order for the same input).
-fn group_by_scenario(batch: &[CampaignCell]) -> (Vec<&CampaignCell>, Vec<usize>) {
-    let mut groups: HashMap<String, usize> = HashMap::new();
-    let mut scenario_of: Vec<usize> = Vec::with_capacity(batch.len());
-    let mut reps: Vec<&CampaignCell> = Vec::new();
-    for cell in batch {
-        let mut key_cell = cell.clone();
-        key_cell.policy = PolicySpec::unoptimized();
-        let key = serde_json::to_string(&key_cell).expect("cell serializes");
-        let g = *groups.entry(key).or_insert_with(|| {
-            reps.push(cell);
-            reps.len() - 1
-        });
-        scenario_of.push(g);
-    }
-    (reps, scenario_of)
-}
-
-/// Runs a batch of campaign cells through the batched lockstep path:
-/// the same scenario grouping and policy-neutral warm-up as
-/// [`run_cells_forked`], but each scenario's cells then advance
-/// *together* through [`Experiment::run_forked_batch`] instead of one
-/// straight-line run per fork. Scenarios still run in parallel;
-/// within a scenario the lockstep batch shares the `Arc`'d immutable
-/// scenario state across all its cells' cache footprints.
-/// Byte-identical to [`run_experiments`] and [`run_cells_forked`] over
-/// the same cells, in the same order (pinned in
-/// `crates/bench/tests/campaign.rs`).
-fn run_cells_batched(
-    campaign: &Campaign,
-    batch: &[CampaignCell],
-) -> Result<Vec<RunReport>, String> {
-    let (reps, scenario_of) = group_by_scenario(batch);
-    // Cells of each scenario, in batch order (which keeps the scatter
-    // below deterministic).
-    let mut members: Vec<Vec<usize>> = vec![Vec::new(); reps.len()];
-    for (i, &g) in scenario_of.iter().enumerate() {
-        members[g].push(i);
-    }
-    // One warm-up + lockstep batch per scenario; scenarios in parallel.
-    let group_ids: Vec<usize> = (0..reps.len()).collect();
-    let per_group: Vec<Result<Vec<RunReport>, String>> = group_ids
-        .par_iter()
-        .map(|&g| {
-            let snap = reps[g]
-                .experiment(campaign)
-                .snapshot_scenario()
-                .map_err(|e| e.to_string())?;
-            let exps: Vec<Experiment> = members[g]
-                .iter()
-                .map(|&i| batch[i].experiment(campaign))
-                .collect();
-            Ok(Experiment::run_forked_batch(&exps, &snap))
-        })
-        .collect();
-    // Scatter each scenario's reports back to batch positions.
-    let mut out: Vec<Option<RunReport>> = vec![None; batch.len()];
-    for (g, res) in per_group.into_iter().enumerate() {
-        for (&i, report) in members[g].iter().zip(res?) {
-            out[i] = Some(report);
-        }
-    }
-    Ok(out
-        .into_iter()
-        .map(|r| r.expect("every cell belongs to exactly one scenario"))
-        .collect())
 }
 
 /// Assembles a mix cell's fairness record from its report and the solo
@@ -1256,11 +1174,10 @@ impl CampaignReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llamcat::experiment::Model;
 
     fn tiny() -> Campaign {
         Campaign::new("tiny")
-            .workload(Model::Llama3_70b.spec())
+            .workload(WorkloadSpec::llama3_70b())
             .seq_lens([128])
             .policy(PolicySpec::unoptimized())
             .policy(PolicySpec::dynmg_bma())
@@ -1270,8 +1187,8 @@ mod tests {
     #[test]
     fn cell_order_is_policy_innermost() {
         let c = Campaign::new("order")
-            .workload(Model::Llama3_70b.spec())
-            .workload(Model::Llama3_405b.spec())
+            .workload(WorkloadSpec::llama3_70b())
+            .workload(WorkloadSpec::llama3_405b())
             .seq_lens([128, 256])
             .l2_sizes_mb([16, 32])
             .policy(PolicySpec::unoptimized())
@@ -1285,7 +1202,7 @@ mod tests {
         // l2 is the next-fastest axis, then seq_len, then workload.
         assert_eq!(cells[2].l2_mb, 32);
         assert_eq!(cells[4].seq_len, 256);
-        assert_eq!(cells[8].workload, Model::Llama3_405b.spec());
+        assert_eq!(cells[8].workload, WorkloadSpec::llama3_405b());
     }
 
     #[test]
@@ -1319,7 +1236,7 @@ mod tests {
     fn empty_axes_are_rejected() {
         assert!(Campaign::new("e").run().is_err());
         let no_policy = Campaign::new("e")
-            .workload(Model::Llama3_70b.spec())
+            .workload(WorkloadSpec::llama3_70b())
             .seq_lens([128]);
         assert!(no_policy.run().is_err());
         let bad_tile = tiny().seq_lens([100]); // 100 % 32 != 0
@@ -1564,7 +1481,7 @@ mod tests {
     #[test]
     fn kv_cells_attach_the_tier_and_report_counters() {
         let report = Campaign::new("kv")
-            .workload(Model::Llama3_70b.spec())
+            .workload(WorkloadSpec::llama3_70b())
             .seq_lens([128])
             .policy(PolicySpec::dynmg_bma())
             .kv(KvSpec::lru(16))

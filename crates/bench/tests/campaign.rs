@@ -4,7 +4,7 @@
 //! byte-identical JSONL across repeated runs.
 
 use llamcat::spec::{MixSpec, PolicySpec};
-use llamcat_bench::{Campaign, CellRecord};
+use llamcat_bench::{cell_spec_hash, Campaign, CellRecord};
 use llamcat_sim::system::StepMode;
 use llamcat_trace::workloads::WorkloadSpec;
 
@@ -53,6 +53,36 @@ fn json_campaign_round_trips() {
     assert_eq!(serde_json::to_string(&back).unwrap(), canonical);
 }
 
+/// Campaign files archived while lockstep batching existed carry a
+/// `"batch_cells"` field. They must still parse, and the field must
+/// change nothing: same campaign, same JSONL bytes, same cell
+/// addresses.
+#[test]
+fn archived_batch_cells_field_is_ignored() {
+    let archived = CAMPAIGN_JSON.replace(
+        "\"max_cycles\": null",
+        "\"max_cycles\": null,\n  \"batch_cells\": true",
+    );
+    assert!(archived.contains("\"batch_cells\": true"));
+    let old: Campaign = serde_json::from_str(&archived).expect("archived JSON parses");
+    let new = acceptance_campaign();
+    assert_eq!(old, new);
+    assert!(!serde_json::to_string(&old).unwrap().contains("batch_cells"));
+
+    let hashes = |c: &Campaign| -> Vec<u64> {
+        let machine = c.machine_spec();
+        c.cells()
+            .iter()
+            .map(|cell| cell_spec_hash(&machine, cell))
+            .collect()
+    };
+    assert_eq!(hashes(&old), hashes(&new));
+    let (old_run, new_run) = (old.run().unwrap(), new.run().unwrap());
+    assert_eq!(old_run.jsonl(), new_run.jsonl());
+    let record_hashes: Vec<u64> = old_run.records.iter().map(|r| r.spec_hash).collect();
+    assert_eq!(record_hashes, hashes(&new));
+}
+
 #[test]
 fn json_campaign_runs_deterministically_in_parallel() {
     let campaign = acceptance_campaign();
@@ -94,11 +124,11 @@ fn campaign_matches_direct_experiments() {
         .baseline(PolicySpec::unoptimized());
     let report = campaign.run().unwrap();
 
-    use llamcat::experiment::{Experiment, Model, Policy};
-    let direct = Experiment::new(Model::Llama3_70b, 128)
-        .policy(Policy::dynmg_bma())
+    use llamcat::experiment::Experiment;
+    let direct = Experiment::new(&WorkloadSpec::llama3_70b(), 128)
+        .policy(PolicySpec::dynmg_bma())
         .run();
-    let base = Experiment::new(Model::Llama3_70b, 128).run();
+    let base = Experiment::new(&WorkloadSpec::llama3_70b(), 128).run();
     assert_eq!(report.records[0].report.cycles, direct.cycles);
     assert_eq!(
         report.records[0].speedup.unwrap(),
@@ -225,53 +255,18 @@ fn geomeans_summarize_policy_columns() {
     assert_eq!(rows[2].1.len(), 4, "one speedup per scenario");
 }
 
-/// The batched lockstep executor (`batch_cells`) streams byte-identical
-/// JSONL to the straight-line run on the 20-cell golden matrix — in
-/// both step modes. Same contract as the fork fast path, one level up:
-/// one scenario build, twenty lanes advanced in lockstep.
-#[test]
-fn batched_golden_matrix_is_byte_identical_in_both_modes() {
-    let matrix = |mode: StepMode, batched: bool| {
-        let mut c = Campaign::new("golden-matrix-batch")
-            .workload(WorkloadSpec::llama3_70b())
-            .seq_lens([128])
-            .baseline(PolicySpec::unoptimized())
-            .step_mode(mode)
-            .batch_cells(batched);
-        for arb in ["fifo", "B", "MA", "BMA", "cobrra"] {
-            for thr in ["none", "dyncta", "lcs", "dynmg"] {
-                c = c
-                    .policy_named(&format!("{thr}+{arb}"))
-                    .expect("matrix name");
-            }
-        }
-        c
-    };
-    for mode in [StepMode::Cycle, StepMode::Skip] {
-        let straight = matrix(mode, false).run().expect("straight-line run");
-        let batched = matrix(mode, true).run().expect("batched run");
-        assert_eq!(straight.records.len(), 20);
-        assert_eq!(
-            straight.jsonl(),
-            batched.jsonl(),
-            "batched lockstep path diverged from the straight-line run ({mode:?})"
-        );
-    }
-}
-
-/// All three executors — plain, forked, batched — emit records in the
-/// same deterministic cell order, and resuming from an archive whose
+/// Both executors — plain and forked — emit records in the same
+/// deterministic cell order, and resuming from an archive whose
 /// cached cells interleave with fresh ones (`todo` = every other cell)
 /// merges back to that exact order, on every execution path.
 #[test]
 fn execution_paths_agree_on_record_order_with_interleaved_archive() {
-    let matrix = |fork: bool, batched: bool| {
+    let matrix = |fork: bool| {
         let mut c = Campaign::new("order-pin")
             .workload(WorkloadSpec::llama3_70b())
             .seq_lens([128])
             .baseline(PolicySpec::unoptimized())
-            .fork_scenarios(fork)
-            .batch_cells(batched);
+            .fork_scenarios(fork);
         for arb in ["fifo", "B", "MA", "BMA", "cobrra"] {
             for thr in ["none", "dyncta", "lcs", "dynmg"] {
                 c = c
@@ -282,12 +277,10 @@ fn execution_paths_agree_on_record_order_with_interleaved_archive() {
         c
     };
 
-    let plain = matrix(false, false).run().expect("plain run");
-    let forked = matrix(true, false).run().expect("forked run");
-    let batched = matrix(false, true).run().expect("batched run");
+    let plain = matrix(false).run().expect("plain run");
+    let forked = matrix(true).run().expect("forked run");
     let golden = plain.jsonl();
     assert_eq!(golden, forked.jsonl(), "forked path reordered records");
-    assert_eq!(golden, batched.jsonl(), "batched path reordered records");
     let labels: Vec<&str> = plain
         .records
         .iter()
@@ -303,11 +296,7 @@ fn execution_paths_agree_on_record_order_with_interleaved_archive() {
     // through the path under test.
     let dir = std::env::temp_dir().join(format!("llamcat-order-pin-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    for (name, fork, batched) in [
-        ("plain", false, false),
-        ("forked", true, false),
-        ("batched", false, true),
-    ] {
+    for (name, fork) in [("plain", false), ("forked", true)] {
         let archive = dir.join(format!("{name}.jsonl"));
         let mut seed = String::new();
         for rec in plain.records.iter().step_by(2) {
@@ -315,9 +304,7 @@ fn execution_paths_agree_on_record_order_with_interleaved_archive() {
             seed.push('\n');
         }
         std::fs::write(&archive, seed).expect("seed archive");
-        let resumed = matrix(fork, batched)
-            .run_resumable(&archive)
-            .expect("resumed run");
+        let resumed = matrix(fork).run_resumable(&archive).expect("resumed run");
         assert_eq!(
             golden,
             resumed.jsonl(),

@@ -2,27 +2,27 @@
 //! finished simulation with the paper's metrics.
 //!
 //! This is the entry point the benchmark harness, the examples and most
-//! downstream users go through. The workload layer is open — anything
-//! implementing [`Workload`] runs; [`Model`] remains as a thin preset
-//! shim for the paper's two Llama3 shapes:
+//! downstream users go through. Workloads and policies are both data:
+//! a [`WorkloadSpec`] family at one sequence length, and a
+//! [`PolicySpec`] pair (see [`crate::spec`]):
 //!
 //! ```
-//! use llamcat::experiment::{Experiment, Model, Policy};
+//! use llamcat::experiment::Experiment;
+//! use llamcat::spec::PolicySpec;
+//! use llamcat_trace::workloads::WorkloadSpec;
 //!
-//! let report = Experiment::new(Model::Llama3_70b, 512)
-//!     .policy(Policy::dynmg_bma())
+//! let report = Experiment::new(&WorkloadSpec::llama3_70b(), 512)
+//!     .policy(PolicySpec::dynmg_bma())
 //!     .run();
 //! assert!(report.completed);
 //! ```
 //!
-//! Policies are data: [`Experiment::policy`] accepts anything
-//! convertible to a [`PolicySpec`] — the legacy [`Policy`] selector
-//! pairs, a registry name via [`PolicySpec::from_name`], or a spec with
-//! explicit embedded configurations (see [`crate::spec`]).
+//! Any other [`Workload`] implementation runs through
+//! [`Experiment::with_workload`]; a policy can also come from a
+//! registry name via [`PolicySpec::from_name`].
 
 use std::sync::Arc;
 
-use llamcat_sim::batch::SystemBatch;
 use llamcat_sim::config::SystemConfig;
 use llamcat_sim::prog::Program;
 use llamcat_sim::serve::RequestInjector;
@@ -30,8 +30,7 @@ use llamcat_sim::stats::{KvTierStats, SimStats, SloOutcome};
 use llamcat_sim::system::{RunOutcome, StepMode, System, SystemState};
 use llamcat_trace::mix::{generate_serve_set, WorkloadMix};
 use llamcat_trace::tracegen::TraceGenConfig;
-use llamcat_trace::workload::LogitOp;
-use llamcat_trace::workloads::{LogitWorkload, Workload, WorkloadSpec};
+use llamcat_trace::workloads::{Workload, WorkloadSpec};
 use serde::{Deserialize, Serialize};
 
 use crate::arbiter::ArbiterKind;
@@ -39,190 +38,6 @@ use crate::spec::{ArbSpec, KvSpec, MixSpec, PolicySpec, ServeSpec, ThrottleSpec}
 use crate::throttle::ThrottleKind;
 
 pub use llamcat_trace::mapping::Layout;
-
-/// Evaluated model shapes (Section 6.2.2) — a thin preset shim over the
-/// open [`Workload`] layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[allow(non_camel_case_types)]
-pub enum Model {
-    /// Llama3 70b: H=8, G=8, D=128.
-    Llama3_70b,
-    /// Llama3 405b: H=8, G=16, D=128.
-    Llama3_405b,
-}
-
-impl Model {
-    pub fn op(&self, seq_len: usize) -> LogitOp {
-        match self {
-            Model::Llama3_70b => LogitOp::llama3_70b(seq_len),
-            Model::Llama3_405b => LogitOp::llama3_405b(seq_len),
-        }
-    }
-
-    /// The serializable workload family of this preset.
-    pub fn spec(&self) -> WorkloadSpec {
-        match self {
-            Model::Llama3_70b => WorkloadSpec::llama3_70b(),
-            Model::Llama3_405b => WorkloadSpec::llama3_405b(),
-        }
-    }
-
-    /// The runnable workload of this preset at one sequence length.
-    pub fn workload(&self, seq_len: usize) -> Arc<dyn Workload> {
-        Arc::new(LogitWorkload::new(self.op(seq_len)))
-    }
-
-    pub fn label(&self) -> &'static str {
-        match self {
-            Model::Llama3_70b => "llama3 70b",
-            Model::Llama3_405b => "llama3 405b",
-        }
-    }
-}
-
-/// Request-arbitration policy selector (legacy closed-world enum; the
-/// open path is [`ArbSpec`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ArbPolicy {
-    /// Default FIFO (unoptimized).
-    Fifo,
-    /// Balanced ("B").
-    Balanced,
-    /// MSHR-aware with FIFO tie-break ("MA").
-    MshrAware,
-    /// MSHR-aware with balanced tie-break ("BMA").
-    BalancedMshrAware,
-    /// COBRRA baseline.
-    Cobrra,
-}
-
-impl ArbPolicy {
-    pub fn label(&self) -> &'static str {
-        self.spec().label()
-    }
-
-    /// The open-world spec this selector stands for.
-    pub fn spec(&self) -> ArbSpec {
-        match self {
-            ArbPolicy::Fifo => ArbSpec::Fifo,
-            ArbPolicy::Balanced => ArbSpec::Balanced,
-            ArbPolicy::MshrAware => ArbSpec::MshrAware,
-            ArbPolicy::BalancedMshrAware => ArbSpec::BalancedMshrAware,
-            ArbPolicy::Cobrra => ArbSpec::Cobrra,
-        }
-    }
-}
-
-impl From<ArbPolicy> for ArbSpec {
-    fn from(p: ArbPolicy) -> ArbSpec {
-        p.spec()
-    }
-}
-
-/// Thread-throttling policy selector (legacy closed-world enum; the
-/// open path is [`ThrottleSpec`] with embedded configuration).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ThrottlePolicy {
-    /// No throttling (unoptimized).
-    None,
-    /// DYNCTA baseline.
-    Dyncta,
-    /// LCS baseline.
-    Lcs,
-    /// The paper's two-level dynamic multi-gear controller.
-    DynMg,
-}
-
-impl ThrottlePolicy {
-    pub fn label(&self) -> &'static str {
-        self.spec().label()
-    }
-
-    /// The open-world spec (with default configuration) this selector
-    /// stands for.
-    pub fn spec(&self) -> ThrottleSpec {
-        match self {
-            ThrottlePolicy::None => ThrottleSpec::None,
-            ThrottlePolicy::Dyncta => ThrottleSpec::dyncta(),
-            ThrottlePolicy::Lcs => ThrottleSpec::Lcs,
-            ThrottlePolicy::DynMg => ThrottleSpec::dynmg(),
-        }
-    }
-}
-
-impl From<ThrottlePolicy> for ThrottleSpec {
-    fn from(p: ThrottlePolicy) -> ThrottleSpec {
-        p.spec()
-    }
-}
-
-/// A complete policy combination as named in the paper's figures
-/// (legacy `Copy` selector pair; converts into [`PolicySpec`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Policy {
-    pub arb: ArbPolicy,
-    pub throttle: ThrottlePolicy,
-}
-
-impl Policy {
-    pub const fn new(arb: ArbPolicy, throttle: ThrottlePolicy) -> Self {
-        Policy { arb, throttle }
-    }
-
-    /// The unoptimized baseline (FIFO, no throttling).
-    pub const fn unoptimized() -> Self {
-        Policy::new(ArbPolicy::Fifo, ThrottlePolicy::None)
-    }
-
-    pub const fn dyncta() -> Self {
-        Policy::new(ArbPolicy::Fifo, ThrottlePolicy::Dyncta)
-    }
-
-    pub const fn lcs() -> Self {
-        Policy::new(ArbPolicy::Fifo, ThrottlePolicy::Lcs)
-    }
-
-    pub const fn dynmg() -> Self {
-        Policy::new(ArbPolicy::Fifo, ThrottlePolicy::DynMg)
-    }
-
-    pub const fn cobrra() -> Self {
-        Policy::new(ArbPolicy::Cobrra, ThrottlePolicy::None)
-    }
-
-    pub const fn dynmg_b() -> Self {
-        Policy::new(ArbPolicy::Balanced, ThrottlePolicy::DynMg)
-    }
-
-    pub const fn dynmg_ma() -> Self {
-        Policy::new(ArbPolicy::MshrAware, ThrottlePolicy::DynMg)
-    }
-
-    /// The paper's final policy.
-    pub const fn dynmg_bma() -> Self {
-        Policy::new(ArbPolicy::BalancedMshrAware, ThrottlePolicy::DynMg)
-    }
-
-    pub const fn dynmg_cobrra() -> Self {
-        Policy::new(ArbPolicy::Cobrra, ThrottlePolicy::DynMg)
-    }
-
-    /// The open-world spec this pair stands for.
-    pub fn spec(&self) -> PolicySpec {
-        PolicySpec::new(self.arb.spec(), self.throttle.spec())
-    }
-
-    /// Figure-style label, e.g. "dynmg+BMA".
-    pub fn label(&self) -> String {
-        self.spec().label()
-    }
-}
-
-impl From<Policy> for PolicySpec {
-    fn from(p: Policy) -> PolicySpec {
-        p.spec()
-    }
-}
 
 /// A failed experiment setup or run (degenerate inputs are rejected
 /// with explicit errors rather than producing silent nonsense).
@@ -309,9 +124,10 @@ pub struct Experiment {
 }
 
 impl Experiment {
-    /// Preset shim: the paper's Logit operator for one model shape.
-    pub fn new(model: Model, seq_len: usize) -> Self {
-        Experiment::with_workload(model.workload(seq_len))
+    /// Instantiates a serialized workload family at one sequence length
+    /// on the Table 5 machine.
+    pub fn new(workload: &WorkloadSpec, seq_len: usize) -> Self {
+        Experiment::with_workload(workload.instantiate(seq_len))
     }
 
     /// An experiment over any [`Workload`] on the Table 5 machine.
@@ -334,11 +150,6 @@ impl Experiment {
             max_cycles: None,
             step_mode: StepMode::default(),
         }
-    }
-
-    /// Instantiates a serialized workload family at one sequence length.
-    pub fn from_spec(workload: &WorkloadSpec, seq_len: usize) -> Self {
-        Experiment::with_workload(workload.instantiate(seq_len))
     }
 
     /// An experiment over a multi-tenant serving mix. The mix must hold
@@ -373,8 +184,8 @@ impl Experiment {
         Ok(e)
     }
 
-    pub fn policy(mut self, policy: impl Into<PolicySpec>) -> Self {
-        self.policy = policy.into();
+    pub fn policy(mut self, policy: PolicySpec) -> Self {
+        self.policy = policy;
         self
     }
 
@@ -616,52 +427,6 @@ impl Experiment {
         );
         let (stats, outcome) = system.run_with_mode(base.budget, self.step_mode);
         Ok(RunReport::from_stats(self, stats, outcome))
-    }
-
-    /// Runs a whole policy grid over one scenario as a lockstep batch:
-    /// every cell is forked off `base` exactly as
-    /// [`Experiment::run_forked`] would fork it, then all cells advance
-    /// together through [`SystemBatch`] so the scenario's `Arc`-shared
-    /// immutable state (instruction table, arrival schedule, inject
-    /// plans) is streamed through the cache once per lockstep
-    /// window instead of once per cell.
-    ///
-    /// Reports come back in `cells` order and are byte-identical to
-    /// each cell's own [`Experiment::run_forked`] (and therefore
-    /// [`Experiment::try_run`]) result — `crates/sim/tests/batch_equiv.rs`
-    /// pins this across the golden policy matrix in both step modes.
-    /// Cells may mix step modes; each runs under the snapshot's budget.
-    ///
-    /// Like [`Experiment::run_forked`], every cell must be identical to
-    /// the snapshot's experiment up to `policy` and `step_mode`.
-    pub fn run_forked_batch(cells: &[Experiment], base: &ScenarioSnapshot) -> Vec<RunReport> {
-        Self::run_forked_batch_with_stride(cells, base, llamcat_sim::batch::DEFAULT_STRIDE)
-    }
-
-    /// [`Experiment::run_forked_batch`] with an explicit lockstep
-    /// window (see [`llamcat_sim::batch::DEFAULT_STRIDE`] for the
-    /// trade-off).
-    pub fn run_forked_batch_with_stride(
-        cells: &[Experiment],
-        base: &ScenarioSnapshot,
-        stride: u64,
-    ) -> Vec<RunReport> {
-        let mut batch = SystemBatch::with_stride(stride);
-        for cell in cells {
-            let mut system = base.state.fork();
-            let arb = cell.policy.arb.clone();
-            system.replace_policies(
-                &move |_slice| arb.build_kind(),
-                cell.policy.throttle.build_kind(),
-            );
-            batch.push(system, base.budget, cell.step_mode);
-        }
-        batch
-            .run()
-            .into_iter()
-            .zip(cells)
-            .map(|((stats, outcome), cell)| RunReport::from_stats(cell, stats, outcome))
-            .collect()
     }
 
     /// Runs the experiment to completion.
@@ -995,17 +760,8 @@ pub fn geomean(xs: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llamcat_trace::workloads::{AttnOutputWorkload, PrefillLogitWorkload};
-
-    #[test]
-    fn policy_labels_match_figures() {
-        assert_eq!(Policy::unoptimized().label(), "unoptimized");
-        assert_eq!(Policy::dynmg().label(), "dynmg");
-        assert_eq!(Policy::dynmg_bma().label(), "dynmg+BMA");
-        assert_eq!(Policy::dynmg_cobrra().label(), "dynmg+cobrra");
-        assert_eq!(Policy::cobrra().label(), "cobrra");
-        assert_eq!(Policy::lcs().label(), "lcs");
-    }
+    use llamcat_trace::workload::LogitOp;
+    use llamcat_trace::workloads::{AttnOutputWorkload, LogitWorkload, PrefillLogitWorkload};
 
     #[test]
     fn geomean_math() {
@@ -1016,7 +772,7 @@ mod tests {
 
     #[test]
     fn tiny_experiment_completes() {
-        let report = Experiment::new(Model::Llama3_70b, 128).run();
+        let report = Experiment::new(&WorkloadSpec::llama3_70b(), 128).run();
         assert!(report.completed, "tiny workload must finish");
         assert!(report.cycles > 0);
         assert!(report.dram_accesses > 0);
@@ -1033,7 +789,7 @@ mod tests {
             head_dim: 128,
         };
         let av = Experiment::with_workload(Arc::new(AttnOutputWorkload::new(op)))
-            .policy(Policy::dynmg_bma())
+            .policy(PolicySpec::dynmg_bma())
             .run();
         assert!(av.completed);
         assert_eq!(av.workload_label, "attn-out h2 g4 d128");
@@ -1045,9 +801,9 @@ mod tests {
 
     #[test]
     fn policies_produce_different_machines_but_same_work() {
-        let base = Experiment::new(Model::Llama3_70b, 128);
-        let a = base.clone().policy(Policy::unoptimized()).run();
-        let b = base.policy(Policy::dynmg_bma()).run();
+        let base = Experiment::new(&WorkloadSpec::llama3_70b(), 128);
+        let a = base.clone().policy(PolicySpec::unoptimized()).run();
+        let b = base.policy(PolicySpec::dynmg_bma()).run();
         assert!(a.completed && b.completed);
         // Same trace: store traffic identical (reads may differ by reuse).
         let sa = a.stats.as_ref().unwrap();
@@ -1058,15 +814,15 @@ mod tests {
 
     #[test]
     fn l2_size_override() {
-        let e = Experiment::new(Model::Llama3_70b, 128).l2_mb(32);
+        let e = Experiment::new(&WorkloadSpec::llama3_70b(), 128).l2_mb(32);
         assert_eq!(e.config.l2.capacity_bytes, 32 * 1024 * 1024);
     }
 
     #[test]
     fn run_is_deterministic() {
         let mk = || {
-            Experiment::new(Model::Llama3_405b, 128)
-                .policy(Policy::dynmg_bma())
+            Experiment::new(&WorkloadSpec::llama3_405b(), 128)
+                .policy(PolicySpec::dynmg_bma())
                 .run()
         };
         let a = mk();
@@ -1078,7 +834,7 @@ mod tests {
     #[test]
     fn degenerate_inputs_are_rejected() {
         // Zero-cycle budget.
-        let err = Experiment::new(Model::Llama3_70b, 128)
+        let err = Experiment::new(&WorkloadSpec::llama3_70b(), 128)
             .max_cycles(0)
             .try_run()
             .unwrap_err();
@@ -1097,7 +853,7 @@ mod tests {
         assert!(matches!(err, ExperimentError::InvalidWorkload(_)));
 
         // l_tile not dividing seq_len.
-        let mut e = Experiment::new(Model::Llama3_70b, 128);
+        let mut e = Experiment::new(&WorkloadSpec::llama3_70b(), 128);
         e.l_tile = 48;
         assert!(matches!(
             e.try_run().unwrap_err(),
@@ -1107,7 +863,7 @@ mod tests {
 
     #[test]
     fn solo_runs_report_one_request() {
-        let report = Experiment::new(Model::Llama3_70b, 128).run();
+        let report = Experiment::new(&WorkloadSpec::llama3_70b(), 128).run();
         assert_eq!(report.requests.len(), 1);
         let r = &report.requests[0];
         assert!(r.completed);
@@ -1209,7 +965,7 @@ mod tests {
         .scheduler(ServePolicySpec::ContinuousBatching { slots: 2 });
         let exp = Experiment::from_serve_spec(&spec)
             .unwrap()
-            .policy(Policy::dynmg_bma());
+            .policy(PolicySpec::dynmg_bma());
         let cycle = exp.clone().step_mode(StepMode::Cycle).run();
         let skip = exp.step_mode(StepMode::Skip).run();
         assert!(cycle.completed);
@@ -1259,8 +1015,8 @@ mod tests {
 
     #[test]
     fn kv_tier_attaches_reports_counters_and_matches_modes() {
-        let base = Experiment::new(Model::Llama3_70b, 128)
-            .policy(Policy::dynmg_bma())
+        let base = Experiment::new(&WorkloadSpec::llama3_70b(), 128)
+            .policy(PolicySpec::dynmg_bma())
             .kv(KvSpec::lru(16));
         let cycle = base.clone().step_mode(StepMode::Cycle).run();
         let skip = base.step_mode(StepMode::Skip).run();
@@ -1281,13 +1037,13 @@ mod tests {
         assert_eq!(cycle.kv, skip.kv);
         assert_eq!(cycle.requests, skip.requests);
         // The tier slows the run relative to an all-warm machine.
-        let no_tier = Experiment::new(Model::Llama3_70b, 128)
-            .policy(Policy::dynmg_bma())
+        let no_tier = Experiment::new(&WorkloadSpec::llama3_70b(), 128)
+            .policy(PolicySpec::dynmg_bma())
             .run();
         assert!(cycle.cycles > no_tier.cycles, "promotions cost cycles");
 
         // Degenerate tiers are rejected gracefully.
-        let err = Experiment::new(Model::Llama3_70b, 128)
+        let err = Experiment::new(&WorkloadSpec::llama3_70b(), 128)
             .kv(KvSpec::lru(0))
             .try_run()
             .unwrap_err();
@@ -1296,7 +1052,7 @@ mod tests {
 
     #[test]
     fn zero_cycle_speedup_is_an_error() {
-        let a = Experiment::new(Model::Llama3_70b, 128).run();
+        let a = Experiment::new(&WorkloadSpec::llama3_70b(), 128).run();
         let mut b = a.clone();
         b.cycles = 0;
         assert!(a.try_speedup_over(&b).is_err());

@@ -26,7 +26,8 @@
 //!
 //! [`experiment`] offers a one-call API from (workload, policy) to a
 //! finished cycle-level simulation — the workload side is the open
-//! [`Workload`](llamcat_trace::workloads::Workload) trait with the
+//! [`Workload`](llamcat_trace::workloads::Workload) trait, named as data
+//! by [`WorkloadSpec`](llamcat_trace::workloads::WorkloadSpec) with the
 //! paper's two Llama3 shapes as presets; [`spec`] makes policies
 //! serializable data with a stable-name registry; [`area`] reproduces
 //! the Section 6.1 hardware-cost evaluation analytically.
@@ -34,11 +35,14 @@
 //! ## Quick start
 //!
 //! ```
-//! use llamcat::experiment::{Experiment, Model, Policy};
+//! use llamcat::experiment::Experiment;
+//! use llamcat::spec::PolicySpec;
+//! use llamcat_trace::workloads::WorkloadSpec;
 //!
-//! let unopt = Experiment::new(Model::Llama3_70b, 256).run();
-//! let ours = Experiment::new(Model::Llama3_70b, 256)
-//!     .policy(Policy::dynmg_bma())
+//! let llama3_70b = WorkloadSpec::llama3_70b();
+//! let unopt = Experiment::new(&llama3_70b, 256).run();
+//! let ours = Experiment::new(&llama3_70b, 256)
+//!     .policy(PolicySpec::dynmg_bma())
 //!     .run();
 //! assert!(unopt.completed && ours.completed);
 //! println!("speedup: {:.2}x", ours.speedup_over(&unopt));
@@ -57,10 +61,7 @@ pub mod prelude {
         PrefixAwareArbiter, SentReqs, TieBreak,
     };
     pub use crate::area::{arbiter_area, hit_buffer_area, AreaConstants, AreaReport};
-    pub use crate::experiment::{
-        geomean, ArbPolicy, Experiment, ExperimentError, Layout, Model, Policy, RunReport,
-        ThrottlePolicy,
-    };
+    pub use crate::experiment::{geomean, Experiment, ExperimentError, Layout, RunReport};
     pub use crate::spec::{ArbSpec, KvSpec, PolicySpec, ThrottleSpec};
     pub use crate::throttle::{Contention, DynMg, DynMgConfig, Dyncta, DynctaConfig, Lcs};
 }

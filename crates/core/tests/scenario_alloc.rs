@@ -17,7 +17,8 @@
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use llamcat::experiment::{Experiment, Model};
+use llamcat::experiment::Experiment;
+use llamcat_trace::workloads::WorkloadSpec;
 
 struct CountingAlloc;
 
@@ -52,7 +53,7 @@ const SYSTEM_ALLOWANCE: u64 = 6 << 20;
 
 #[test]
 fn scenario_build_holds_one_instruction_table() {
-    let exp = Experiment::new(Model::Llama3_405b, 4096);
+    let exp = Experiment::new(&WorkloadSpec::llama3_405b(), 4096);
     let program = exp.build_program();
     let table =
         (size_of_val(program.blocks.instrs()) + size_of_val(program.blocks.offsets())) as u64;

@@ -155,31 +155,6 @@ pub trait RequestArbiter {
     fn name(&self) -> &'static str;
 }
 
-/// Object-safe cloning hook for type-erased arbiters.
-///
-/// `Box<dyn RequestArbiter>` cannot be `Clone` (plain trait objects
-/// carry no clone entry), which would lock open-world policies out of
-/// the snapshot/fork layer ([`crate::system::System::snapshot`]).
-/// Boxing as `Box<dyn CloneArbiter>` instead keeps type erasure *and*
-/// deep-copy support: the blanket impl covers every `Clone` arbiter, so
-/// no policy opts in manually.
-pub trait CloneArbiter: RequestArbiter {
-    /// Deep-copies the arbiter behind the reference.
-    fn clone_box(&self) -> Box<dyn CloneArbiter>;
-}
-
-impl<A: RequestArbiter + Clone + 'static> CloneArbiter for A {
-    fn clone_box(&self) -> Box<dyn CloneArbiter> {
-        Box::new(self.clone())
-    }
-}
-
-impl Clone for Box<dyn CloneArbiter> {
-    fn clone(&self) -> Self {
-        (**self).clone_box()
-    }
-}
-
 /// Forwarding impl so boxed (type-erased) arbiters plug into the
 /// monomorphized [`crate::llc::LlcSlice`]/[`crate::system::System`]
 /// generics: `Box<dyn RequestArbiter>` remains the open-world default,
@@ -310,25 +285,6 @@ pub trait ThrottleController {
     }
 
     fn name(&self) -> &'static str;
-}
-
-/// Cloning hook for type-erased throttle controllers (the
-/// [`CloneArbiter`] counterpart).
-pub trait CloneThrottle: ThrottleController {
-    /// Deep-copies the controller behind the reference.
-    fn clone_box(&self) -> Box<dyn CloneThrottle>;
-}
-
-impl<T: ThrottleController + Clone + 'static> CloneThrottle for T {
-    fn clone_box(&self) -> Box<dyn CloneThrottle> {
-        Box::new(self.clone())
-    }
-}
-
-impl Clone for Box<dyn CloneThrottle> {
-    fn clone(&self) -> Self {
-        (**self).clone_box()
-    }
 }
 
 /// Forwarding impl mirroring the [`RequestArbiter`] one: keeps

@@ -93,9 +93,8 @@ where
     /// straight from its flat [`crate::prog::BlockTable`]. Shared:
     /// cloning (and therefore [`System::snapshot`] /
     /// [`SystemState::fork`]) bumps a refcount instead of copying —
-    /// every fork of one scenario reads the same trace, which is what
-    /// lets [`crate::batch::SystemBatch`] run a policy grid over one
-    /// shared trace instead of N private copies.
+    /// every fork of one scenario reads the same trace instead of a
+    /// private copy.
     program: Arc<Program>,
     cores: Vec<VectorCore>,
     slices: Vec<LlcSlice<A>>,
@@ -549,9 +548,9 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
     /// [`System::collect_stats`] — the machine is left in exactly the
     /// state the full run would leave it in, so a later `collect_stats`
     /// (or further `advance_with_mode` calls with a larger budget)
-    /// observes byte-identical results. [`crate::batch::SystemBatch`]
-    /// drives its lockstep chunks through this entry point so stats
-    /// assembly is paid once per cell, not once per chunk.
+    /// observes byte-identical results. Callers that time ticking
+    /// apart from stats assembly drive the run through this entry
+    /// point.
     pub fn advance_with_mode(&mut self, max_cycles: Cycle, mode: StepMode) -> RunOutcome {
         if mode == StepMode::Skip {
             return self.skip_to(max_cycles);

@@ -2,7 +2,7 @@
 //! equivalent* to the cycle-accurate `StepMode::Cycle` reference — not
 //! merely "same cycle count" but byte-identical `SimStats` and the same
 //! `RunOutcome` — across the entire policy grid the paper evaluates
-//! (every `ArbPolicy` × `ThrottlePolicy` cell of the golden table) and
+//! (every arbiter × throttle cell of the golden table) and
 //! across cycle-budget boundaries.
 //!
 //! This is the headline guarantee of the fast-forward engine: any
@@ -10,33 +10,20 @@
 //! past a real state change) or whose `skip` accrual diverges from its
 //! per-cycle tick shows up here as a counter mismatch.
 
-use llamcat::experiment::{ArbPolicy, Experiment, Model, Policy, ThrottlePolicy};
+use llamcat::experiment::Experiment;
+use llamcat::spec::PolicySpec;
 use llamcat_sim::system::StepMode;
+use llamcat_trace::workloads::WorkloadSpec;
 
-const ARBS: [ArbPolicy; 5] = [
-    ArbPolicy::Fifo,
-    ArbPolicy::Balanced,
-    ArbPolicy::MshrAware,
-    ArbPolicy::BalancedMshrAware,
-    ArbPolicy::Cobrra,
-];
-
-const THROTTLES: [ThrottlePolicy; 4] = [
-    ThrottlePolicy::None,
-    ThrottlePolicy::Dyncta,
-    ThrottlePolicy::Lcs,
-    ThrottlePolicy::DynMg,
-];
-
-fn experiment(policy: Policy, mode: StepMode) -> Experiment {
-    Experiment::new(Model::Llama3_70b, 128)
-        .policy(policy)
+fn experiment(policy: &PolicySpec, mode: StepMode) -> Experiment {
+    Experiment::new(&WorkloadSpec::llama3_70b(), 128)
+        .policy(policy.clone())
         .step_mode(mode)
 }
 
 /// Runs one policy cell in both modes and asserts full observational
 /// equivalence: outcome, serialized report, serialized `SimStats`.
-fn assert_cell_equivalent(policy: Policy, budget: Option<u64>) {
+fn assert_cell_equivalent(policy: &PolicySpec, budget: Option<u64>) {
     let run = |mode| {
         let mut e = experiment(policy, mode);
         e.max_cycles = budget;
@@ -74,9 +61,10 @@ fn assert_cell_equivalent(policy: Policy, budget: Option<u64>) {
 /// step modes.
 #[test]
 fn all_golden_cells_are_mode_equivalent() {
-    for &arb in &ARBS {
-        for &throttle in &THROTTLES {
-            assert_cell_equivalent(Policy::new(arb, throttle), None);
+    for arb in ["fifo", "B", "MA", "BMA", "cobrra"] {
+        for thr in ["none", "dyncta", "lcs", "dynmg"] {
+            let policy = PolicySpec::from_name(&format!("{thr}+{arb}")).expect("matrix name");
+            assert_cell_equivalent(&policy, None);
         }
     }
 }
@@ -91,9 +79,9 @@ fn budget_exhaustion_is_mode_equivalent() {
     // Completion cycle of this cell (golden table: 12269 for the
     // unoptimized baseline, but derive it so the test survives
     // intentional golden updates).
-    let completed = experiment(Policy::unoptimized(), StepMode::Cycle).run();
+    let completed = experiment(&PolicySpec::unoptimized(), StepMode::Cycle).run();
     let full = completed.cycles;
-    for policy in [Policy::unoptimized(), Policy::dynmg_bma()] {
+    for policy in [PolicySpec::unoptimized(), PolicySpec::dynmg_bma()] {
         for budget in [
             1,
             2,
@@ -105,11 +93,11 @@ fn budget_exhaustion_is_mode_equivalent() {
             full + 1,
             full + 10_000,
         ] {
-            assert_cell_equivalent(policy, Some(budget));
+            assert_cell_equivalent(&policy, Some(budget));
         }
     }
     // And the budget is a hard ceiling in skip mode.
-    let limited = experiment(Policy::unoptimized(), StepMode::Skip)
+    let limited = experiment(&PolicySpec::unoptimized(), StepMode::Skip)
         .max_cycles(full / 2)
         .run();
     assert!(!limited.completed);
@@ -121,8 +109,8 @@ fn budget_exhaustion_is_mode_equivalent() {
 #[test]
 fn longer_run_is_mode_equivalent() {
     let run = |mode| {
-        Experiment::new(Model::Llama3_405b, 256)
-            .policy(Policy::dynmg_bma())
+        Experiment::new(&WorkloadSpec::llama3_405b(), 256)
+            .policy(PolicySpec::dynmg_bma())
             .step_mode(mode)
             .run()
     };

@@ -26,8 +26,11 @@ pub use llamcat_trace as trace;
 /// One-line smoke check used by docs and CI: simulates a tiny decode
 /// workload end to end and returns the cycle count.
 pub fn smoke() -> u64 {
-    use llamcat::experiment::{Experiment, Model};
-    Experiment::new(Model::Llama3_70b, 128).run().cycles
+    use llamcat::experiment::Experiment;
+    use llamcat_trace::workloads::WorkloadSpec;
+    Experiment::new(&WorkloadSpec::llama3_70b(), 128)
+        .run()
+        .cycles
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Golden-baseline regression test.
 //!
 //! One small configuration (Llama3 70b, seq_len 128, 16 MB L2) per
-//! `ArbPolicy` × `ThrottlePolicy` cell, with the cycle count and the
+//! arbiter × throttle cell, with the cycle count and the
 //! headline rates recorded from the seed implementation. Future
 //! performance PRs diff against this table instead of merely checking
 //! "it still completes"; an intentional behavior change must update the
@@ -13,91 +13,79 @@
 //! ```
 //! and paste the printed rows over `GOLDEN`.
 
-use llamcat::experiment::{ArbPolicy, Experiment, Model, Policy, ThrottlePolicy};
+use llamcat::experiment::Experiment;
 use llamcat::spec::{MixSpec, PolicySpec};
 use llamcat_trace::workloads::WorkloadSpec;
 
-const MODEL: Model = Model::Llama3_70b;
 const SEQ_LEN: usize = 128;
 
-const ARBS: [ArbPolicy; 5] = [
-    ArbPolicy::Fifo,
-    ArbPolicy::Balanced,
-    ArbPolicy::MshrAware,
-    ArbPolicy::BalancedMshrAware,
-    ArbPolicy::Cobrra,
-];
+/// Arbiter and throttle component names of the 5 × 4 policy matrix;
+/// cell `"<throttle>+<arb>"` resolves through [`PolicySpec::from_name`].
+const ARBS: [&str; 5] = ["fifo", "B", "MA", "BMA", "cobrra"];
+const THROTTLES: [&str; 4] = ["none", "dyncta", "lcs", "dynmg"];
 
-const THROTTLES: [ThrottlePolicy; 4] = [
-    ThrottlePolicy::None,
-    ThrottlePolicy::Dyncta,
-    ThrottlePolicy::Lcs,
-    ThrottlePolicy::DynMg,
-];
+/// Every matrix cell name, arbiter-major (the order of the tables).
+fn matrix_names() -> Vec<String> {
+    ARBS.iter()
+        .flat_map(|arb| THROTTLES.iter().map(move |thr| format!("{thr}+{arb}")))
+        .collect()
+}
 
-/// Recorded seed behavior: (arb, throttle, cycles, l2_hit_rate,
+fn policy(name: &str) -> PolicySpec {
+    PolicySpec::from_name(name).unwrap_or_else(|| panic!("`{name}` names a matrix cell"))
+}
+
+/// Recorded seed behavior: (`"<throttle>+<arb>"`, cycles, l2_hit_rate,
 /// mshr_hit_rate). Rates are exact f64 values as printed by `{:?}`;
 /// the simulator is deterministic, so equality is exact.
 #[rustfmt::skip]
-const GOLDEN: &[(ArbPolicy, ThrottlePolicy, u64, f64, f64)] = &[
-    (ArbPolicy::Fifo, ThrottlePolicy::None, 12269, 0.004743889989791629, 0.8609870882104501),
-    (ArbPolicy::Fifo, ThrottlePolicy::Dyncta, 12269, 0.004743889989791629, 0.8609870882104501),
-    (ArbPolicy::Fifo, ThrottlePolicy::Lcs, 12269, 0.004743889989791629, 0.8609870882104501),
-    (ArbPolicy::Fifo, ThrottlePolicy::DynMg, 12668, 0.13891220916286878, 0.83947909049758),
-    (ArbPolicy::Balanced, ThrottlePolicy::None, 12786, 0.2341198366954851, 0.8187590640065848),
-    (ArbPolicy::Balanced, ThrottlePolicy::Dyncta, 12786, 0.2341198366954851, 0.8187590640065848),
-    (ArbPolicy::Balanced, ThrottlePolicy::Lcs, 12786, 0.2341198366954851, 0.8187590640065848),
-    (ArbPolicy::Balanced, ThrottlePolicy::DynMg, 14691, 0.3732421816437288, 0.7785485337032961),
-    (ArbPolicy::MshrAware, ThrottlePolicy::None, 12376, 0.012585778070780018, 0.8600345968255895),
-    (ArbPolicy::MshrAware, ThrottlePolicy::Dyncta, 12376, 0.012585778070780018, 0.8600345968255895),
-    (ArbPolicy::MshrAware, ThrottlePolicy::Lcs, 12376, 0.012585778070780018, 0.8600345968255895),
-    (ArbPolicy::MshrAware, ThrottlePolicy::DynMg, 12756, 0.1283430494621071, 0.8411417933602234),
-    (ArbPolicy::BalancedMshrAware, ThrottlePolicy::None, 12688, 0.008498753716327818, 0.8604313060334383),
-    (ArbPolicy::BalancedMshrAware, ThrottlePolicy::Dyncta, 12688, 0.008498753716327818, 0.8604313060334383),
-    (ArbPolicy::BalancedMshrAware, ThrottlePolicy::Lcs, 12688, 0.008498753716327818, 0.8604313060334383),
-    (ArbPolicy::BalancedMshrAware, ThrottlePolicy::DynMg, 12874, 0.12300717566877833, 0.8422458062307429),
-    (ArbPolicy::Cobrra, ThrottlePolicy::None, 11966, 0.005396006954853408, 0.8609922237627343),
-    (ArbPolicy::Cobrra, ThrottlePolicy::Dyncta, 11966, 0.005396006954853408, 0.8609922237627343),
-    (ArbPolicy::Cobrra, ThrottlePolicy::Lcs, 11966, 0.005396006954853408, 0.8609922237627343),
-    (ArbPolicy::Cobrra, ThrottlePolicy::DynMg, 12872, 0.17450769138684383, 0.8319254613348802),
+const GOLDEN: &[(&str, u64, f64, f64)] = &[
+    ("none+fifo", 12269, 0.004743889989791629, 0.8609870882104501),
+    ("dyncta+fifo", 12269, 0.004743889989791629, 0.8609870882104501),
+    ("lcs+fifo", 12269, 0.004743889989791629, 0.8609870882104501),
+    ("dynmg+fifo", 12668, 0.13891220916286878, 0.83947909049758),
+    ("none+B", 12786, 0.2341198366954851, 0.8187590640065848),
+    ("dyncta+B", 12786, 0.2341198366954851, 0.8187590640065848),
+    ("lcs+B", 12786, 0.2341198366954851, 0.8187590640065848),
+    ("dynmg+B", 14691, 0.3732421816437288, 0.7785485337032961),
+    ("none+MA", 12376, 0.012585778070780018, 0.8600345968255895),
+    ("dyncta+MA", 12376, 0.012585778070780018, 0.8600345968255895),
+    ("lcs+MA", 12376, 0.012585778070780018, 0.8600345968255895),
+    ("dynmg+MA", 12756, 0.1283430494621071, 0.8411417933602234),
+    ("none+BMA", 12688, 0.008498753716327818, 0.8604313060334383),
+    ("dyncta+BMA", 12688, 0.008498753716327818, 0.8604313060334383),
+    ("lcs+BMA", 12688, 0.008498753716327818, 0.8604313060334383),
+    ("dynmg+BMA", 12874, 0.12300717566877833, 0.8422458062307429),
+    ("none+cobrra", 11966, 0.005396006954853408, 0.8609922237627343),
+    ("dyncta+cobrra", 11966, 0.005396006954853408, 0.8609922237627343),
+    ("lcs+cobrra", 11966, 0.005396006954853408, 0.8609922237627343),
+    ("dynmg+cobrra", 12872, 0.17450769138684383, 0.8319254613348802),
 ];
 
-fn run_cell(arb: ArbPolicy, throttle: ThrottlePolicy) -> (u64, f64, f64) {
-    let report = Experiment::new(MODEL, SEQ_LEN)
-        .policy(Policy::new(arb, throttle))
+fn run_cell(name: &str) -> (u64, f64, f64) {
+    let report = Experiment::new(&WorkloadSpec::llama3_70b(), SEQ_LEN)
+        .policy(policy(name))
         .run();
-    assert!(
-        report.completed,
-        "golden cell {:?}/{:?} did not complete",
-        arb, throttle
-    );
+    assert!(report.completed, "golden cell {name} did not complete");
     (report.cycles, report.l2_hit_rate, report.mshr_hit_rate)
 }
 
 #[test]
 fn golden_baselines_match_recorded_seed_behavior() {
+    let names: Vec<&str> = GOLDEN.iter().map(|row| row.0).collect();
     assert_eq!(
-        GOLDEN.len(),
-        ARBS.len() * THROTTLES.len(),
+        names,
+        matrix_names(),
         "golden table must cover every policy cell"
     );
-    for &(arb, throttle, cycles, l2_hit, mshr_hit) in GOLDEN {
-        let (got_cycles, got_l2, got_mshr) = run_cell(arb, throttle);
+    for &(name, cycles, l2_hit, mshr_hit) in GOLDEN {
+        let (got_cycles, got_l2, got_mshr) = run_cell(name);
         assert_eq!(
             got_cycles, cycles,
-            "{:?}/{:?}: cycles changed (recorded {cycles}, got {got_cycles})",
-            arb, throttle
+            "{name}: cycles changed (recorded {cycles}, got {got_cycles})"
         );
-        assert_eq!(
-            got_l2, l2_hit,
-            "{:?}/{:?}: L2 hit rate changed",
-            arb, throttle
-        );
-        assert_eq!(
-            got_mshr, mshr_hit,
-            "{:?}/{:?}: MSHR hit rate changed",
-            arb, throttle
-        );
+        assert_eq!(got_l2, l2_hit, "{name}: L2 hit rate changed");
+        assert_eq!(got_mshr, mshr_hit, "{name}: MSHR hit rate changed");
     }
 }
 
@@ -107,15 +95,15 @@ fn golden_baselines_match_recorded_seed_behavior() {
 #[test]
 fn registry_labels_match_paper_figure_labels() {
     let figure_policies = [
-        Policy::unoptimized(),
-        Policy::dyncta(),
-        Policy::lcs(),
-        Policy::cobrra(),
-        Policy::dynmg(),
-        Policy::dynmg_b(),
-        Policy::dynmg_ma(),
-        Policy::dynmg_bma(),
-        Policy::dynmg_cobrra(),
+        PolicySpec::unoptimized(),
+        PolicySpec::dyncta(),
+        PolicySpec::lcs(),
+        PolicySpec::cobrra(),
+        PolicySpec::dynmg(),
+        PolicySpec::dynmg_b(),
+        PolicySpec::dynmg_ma(),
+        PolicySpec::dynmg_bma(),
+        PolicySpec::dynmg_cobrra(),
     ];
     let names = PolicySpec::registry_names();
     assert_eq!(
@@ -123,22 +111,20 @@ fn registry_labels_match_paper_figure_labels() {
         figure_policies.len(),
         "registry must cover exactly the named figure points"
     );
-    for (name, policy) in names.iter().zip(figure_policies) {
+    for (name, expected) in names.iter().zip(figure_policies) {
         assert_eq!(
             *name,
-            policy.label(),
+            expected.label(),
             "registry order must follow the figure ladder"
         );
         let spec = PolicySpec::from_name(name)
             .unwrap_or_else(|| panic!("registry name `{name}` must resolve"));
-        assert_eq!(spec, policy.spec(), "`{name}` resolves to the wrong cell");
+        assert_eq!(spec, expected, "`{name}` resolves to the wrong cell");
         assert_eq!(spec.label(), *name, "label/name round trip for `{name}`");
         // The golden table covers this cell: the registry points into
         // the pinned 5 × 4 matrix, not outside it.
         assert!(
-            GOLDEN
-                .iter()
-                .any(|&(arb, thr, ..)| Policy::new(arb, thr).spec() == spec),
+            GOLDEN.iter().any(|&(cell, ..)| policy(cell) == spec),
             "registry name `{name}` must map into the golden matrix"
         );
     }
@@ -148,13 +134,9 @@ fn registry_labels_match_paper_figure_labels() {
 #[test]
 #[ignore = "regenerates the golden table; run with --ignored --nocapture"]
 fn print_golden_table() {
-    for &arb in &ARBS {
-        for &throttle in &THROTTLES {
-            let (cycles, l2, mshr) = run_cell(arb, throttle);
-            println!(
-                "    (ArbPolicy::{arb:?}, ThrottlePolicy::{throttle:?}, {cycles}, {l2:?}, {mshr:?}),"
-            );
-        }
+    for name in matrix_names() {
+        let (cycles, l2, mshr) = run_cell(&name);
+        println!("    ({name:?}, {cycles}, {l2:?}, {mshr:?}),");
     }
 }
 
@@ -181,44 +163,40 @@ fn canonical_mix() -> MixSpec {
         )
 }
 
-/// Recorded mix behavior per policy cell: (arb, throttle, machine
+/// Recorded mix behavior per policy cell: (`"<throttle>+<arb>"`, machine
 /// cycles, decode-request cycles-to-completion, prefill-request
 /// cycles-to-completion, l2_hit_rate). Exact values — the simulator is
 /// deterministic and both step modes are byte-identical.
 #[rustfmt::skip]
-const GOLDEN_MIX: &[(ArbPolicy, ThrottlePolicy, u64, u64, u64, f64)] = &[
-    (ArbPolicy::Fifo, ThrottlePolicy::None, 37906, 37509, 37819, 0.5032210855560497),
-    (ArbPolicy::Fifo, ThrottlePolicy::Dyncta, 37906, 37509, 37819, 0.5032210855560497),
-    (ArbPolicy::Fifo, ThrottlePolicy::Lcs, 37906, 37509, 37819, 0.5032210855560497),
-    (ArbPolicy::Fifo, ThrottlePolicy::DynMg, 37644, 36303, 37393, 0.39732885751994035),
-    (ArbPolicy::Balanced, ThrottlePolicy::None, 39751, 39158, 39671, 0.6325438609074868),
-    (ArbPolicy::Balanced, ThrottlePolicy::Dyncta, 39751, 39158, 39671, 0.6325438609074868),
-    (ArbPolicy::Balanced, ThrottlePolicy::Lcs, 39751, 39158, 39671, 0.6325438609074868),
-    (ArbPolicy::Balanced, ThrottlePolicy::DynMg, 40172, 39613, 39924, 0.5130677747528299),
-    (ArbPolicy::MshrAware, ThrottlePolicy::None, 39055, 38349, 38786, 0.5695312836876374),
-    (ArbPolicy::MshrAware, ThrottlePolicy::Dyncta, 39055, 38349, 38786, 0.5695312836876374),
-    (ArbPolicy::MshrAware, ThrottlePolicy::Lcs, 39055, 38349, 38786, 0.5695312836876374),
-    (ArbPolicy::MshrAware, ThrottlePolicy::DynMg, 38460, 37336, 38321, 0.5467932877420838),
-    (ArbPolicy::BalancedMshrAware, ThrottlePolicy::None, 36184, 35688, 36084, 0.4770563143608083),
-    (ArbPolicy::BalancedMshrAware, ThrottlePolicy::Dyncta, 36184, 35688, 36084, 0.4770563143608083),
-    (ArbPolicy::BalancedMshrAware, ThrottlePolicy::Lcs, 36184, 35688, 36084, 0.4770563143608083),
-    (ArbPolicy::BalancedMshrAware, ThrottlePolicy::DynMg, 39831, 37178, 39492, 0.5042102248317342),
-    (ArbPolicy::Cobrra, ThrottlePolicy::None, 38918, 37849, 38321, 0.45194224178723524),
-    (ArbPolicy::Cobrra, ThrottlePolicy::Dyncta, 38918, 37849, 38321, 0.45194224178723524),
-    (ArbPolicy::Cobrra, ThrottlePolicy::Lcs, 38918, 37849, 38321, 0.45194224178723524),
-    (ArbPolicy::Cobrra, ThrottlePolicy::DynMg, 39796, 39145, 39332, 0.46688846186938937),
+const GOLDEN_MIX: &[(&str, u64, u64, u64, f64)] = &[
+    ("none+fifo", 37906, 37509, 37819, 0.5032210855560497),
+    ("dyncta+fifo", 37906, 37509, 37819, 0.5032210855560497),
+    ("lcs+fifo", 37906, 37509, 37819, 0.5032210855560497),
+    ("dynmg+fifo", 37644, 36303, 37393, 0.39732885751994035),
+    ("none+B", 39751, 39158, 39671, 0.6325438609074868),
+    ("dyncta+B", 39751, 39158, 39671, 0.6325438609074868),
+    ("lcs+B", 39751, 39158, 39671, 0.6325438609074868),
+    ("dynmg+B", 40172, 39613, 39924, 0.5130677747528299),
+    ("none+MA", 39055, 38349, 38786, 0.5695312836876374),
+    ("dyncta+MA", 39055, 38349, 38786, 0.5695312836876374),
+    ("lcs+MA", 39055, 38349, 38786, 0.5695312836876374),
+    ("dynmg+MA", 38460, 37336, 38321, 0.5467932877420838),
+    ("none+BMA", 36184, 35688, 36084, 0.4770563143608083),
+    ("dyncta+BMA", 36184, 35688, 36084, 0.4770563143608083),
+    ("lcs+BMA", 36184, 35688, 36084, 0.4770563143608083),
+    ("dynmg+BMA", 39831, 37178, 39492, 0.5042102248317342),
+    ("none+cobrra", 38918, 37849, 38321, 0.45194224178723524),
+    ("dyncta+cobrra", 38918, 37849, 38321, 0.45194224178723524),
+    ("lcs+cobrra", 38918, 37849, 38321, 0.45194224178723524),
+    ("dynmg+cobrra", 39796, 39145, 39332, 0.46688846186938937),
 ];
 
-fn run_mix_cell(arb: ArbPolicy, throttle: ThrottlePolicy) -> (u64, u64, u64, f64) {
+fn run_mix_cell(name: &str) -> (u64, u64, u64, f64) {
     let report = Experiment::from_mix_spec(&canonical_mix())
         .expect("canonical mix is valid")
-        .policy(Policy::new(arb, throttle))
+        .policy(policy(name))
         .run();
-    assert!(
-        report.completed,
-        "golden mix cell {:?}/{:?} did not complete",
-        arb, throttle
-    );
+    assert!(report.completed, "golden mix cell {name} did not complete");
     assert_eq!(report.requests.len(), 2);
     assert!(report.requests.iter().all(|r| r.completed));
     report.stats.as_ref().unwrap().check_consistency().unwrap();
@@ -232,33 +210,27 @@ fn run_mix_cell(arb: ArbPolicy, throttle: ThrottlePolicy) -> (u64, u64, u64, f64
 
 #[test]
 fn golden_mix_baselines_match_recorded_behavior() {
+    let names: Vec<&str> = GOLDEN_MIX.iter().map(|row| row.0).collect();
     assert_eq!(
-        GOLDEN_MIX.len(),
-        ARBS.len() * THROTTLES.len(),
+        names,
+        matrix_names(),
         "golden mix table must cover every policy cell"
     );
-    for &(arb, throttle, cycles, decode_cycles, prefill_cycles, l2_hit) in GOLDEN_MIX {
-        let (got_cycles, got_decode, got_prefill, got_l2) = run_mix_cell(arb, throttle);
+    for &(name, cycles, decode_cycles, prefill_cycles, l2_hit) in GOLDEN_MIX {
+        let (got_cycles, got_decode, got_prefill, got_l2) = run_mix_cell(name);
         assert_eq!(
             got_cycles, cycles,
-            "{:?}/{:?}: mix cycles changed (recorded {cycles}, got {got_cycles})",
-            arb, throttle
+            "{name}: mix cycles changed (recorded {cycles}, got {got_cycles})"
         );
         assert_eq!(
             got_decode, decode_cycles,
-            "{:?}/{:?}: decode request completion changed",
-            arb, throttle
+            "{name}: decode request completion changed"
         );
         assert_eq!(
             got_prefill, prefill_cycles,
-            "{:?}/{:?}: prefill request completion changed",
-            arb, throttle
+            "{name}: prefill request completion changed"
         );
-        assert_eq!(
-            got_l2, l2_hit,
-            "{:?}/{:?}: L2 hit rate changed",
-            arb, throttle
-        );
+        assert_eq!(got_l2, l2_hit, "{name}: L2 hit rate changed");
     }
 }
 
@@ -267,17 +239,16 @@ fn golden_mix_baselines_match_recorded_behavior() {
 /// no-behavioural-drift guarantee for every legacy experiment.
 #[test]
 fn single_request_mix_reproduces_solo_golden_table() {
-    for &(arb, throttle, cycles, l2_hit, mshr_hit) in GOLDEN {
+    for &(name, cycles, l2_hit, mshr_hit) in GOLDEN {
         let spec = MixSpec::partitioned().request(WorkloadSpec::llama3_70b(), SEQ_LEN, 0);
         let report = Experiment::from_mix_spec(&spec)
             .expect("solo mix is valid")
-            .policy(Policy::new(arb, throttle))
+            .policy(policy(name))
             .run();
         assert!(report.completed);
         assert_eq!(
             report.cycles, cycles,
-            "{:?}/{:?}: single-request mix drifted from the solo golden cycles",
-            arb, throttle
+            "{name}: single-request mix drifted from the solo golden cycles"
         );
         assert_eq!(report.l2_hit_rate, l2_hit);
         assert_eq!(report.mshr_hit_rate, mshr_hit);
@@ -290,12 +261,8 @@ fn single_request_mix_reproduces_solo_golden_table() {
 #[test]
 #[ignore = "regenerates the golden mix table; run with --ignored --nocapture"]
 fn print_golden_mix_table() {
-    for &arb in &ARBS {
-        for &throttle in &THROTTLES {
-            let (cycles, decode, prefill, l2) = run_mix_cell(arb, throttle);
-            println!(
-                "    (ArbPolicy::{arb:?}, ThrottlePolicy::{throttle:?}, {cycles}, {decode}, {prefill}, {l2:?}),"
-            );
-        }
+    for name in matrix_names() {
+        let (cycles, decode, prefill, l2) = run_mix_cell(&name);
+        println!("    ({name:?}, {cycles}, {decode}, {prefill}, {l2:?}),");
     }
 }
