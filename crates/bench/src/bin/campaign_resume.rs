@@ -1,9 +1,12 @@
 //! Resumable campaign runner: executes a JSON-defined [`Campaign`]
 //! against a JSONL archive, skipping cells whose content address
 //! ([`llamcat_bench::cell_spec_hash`]) is already archived and
-//! appending the rest crash-safely. Kill it mid-run and invoke it
-//! again: completed cells are never re-simulated, and the merged
-//! stream is byte-identical to an uninterrupted run.
+//! appending the rest once all of them have finished. Cells archived
+//! by an earlier invocation are never re-simulated, and the merged
+//! stream is byte-identical to an uninterrupted run. A kill during
+//! simulation loses every fresh cell of the invocation; a kill during
+//! the append loses at most the torn last line. To checkpoint a long
+//! grid, run it shard by shard with `--shard`.
 //!
 //! Usage:
 //!

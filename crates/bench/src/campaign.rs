@@ -38,12 +38,13 @@
 //!   protocol.
 //! * **Resumable** — [`Campaign::run_resumable`] content-addresses every
 //!   cell with [`cell_spec_hash`], skips cells already present in a
-//!   JSONL archive, appends the rest crash-safely, and merges into the
-//!   deterministic cell order; `--shard i/n` splits ride on the same
-//!   archive with byte-identical merged output.
-//! * **Warm-up-and-fork** — with [`Campaign::fork_scenarios`], cells
-//!   sharing a scenario build their system once and fork per policy
-//!   cell, byte-identical to the straight-line path.
+//!   JSONL archive, appends the cells it ran once the whole invocation
+//!   has finished, and merges into the deterministic cell order;
+//!   `--shard i/n` splits ride on the same archive with byte-identical
+//!   merged output and are the way to checkpoint a long grid.
+//! * **Warm-up-and-fork** — every campaign builds each scenario (all
+//!   but the policy) once and forks it per policy cell; each record is
+//!   byte-identical to [`Experiment::try_run`] of its cell.
 
 use std::collections::HashMap;
 use std::io::{self, Write};
@@ -109,16 +110,6 @@ pub struct Campaign {
     /// cycle-accurate reference.
     #[serde(default)]
     pub step_mode: StepMode,
-    /// Warm-up-and-fork fast path: cells sharing a scenario (everything
-    /// but the policy) build their system — trace generation, program
-    /// mapping, preallocation, injector and KV tier — once, snapshot it
-    /// pre-tick, and fork one copy per policy cell. Byte-identical to
-    /// the straight-line path (`crates/bench/tests/campaign.rs` pins
-    /// this over the golden policy matrix in both step modes). Off by
-    /// default (also the serde default, so archived campaign files keep
-    /// parsing).
-    #[serde(default)]
-    pub fork_scenarios: bool,
 }
 
 /// One point of the grid, fully self-describing (what to run).
@@ -269,7 +260,6 @@ impl Campaign {
             l_tile: 32,
             max_cycles: None,
             step_mode: StepMode::default(),
-            fork_scenarios: false,
         }
     }
 
@@ -371,10 +361,10 @@ impl Campaign {
         self
     }
 
-    /// Opts into the warm-up-and-fork fast path (see the
-    /// [`Campaign::fork_scenarios`] field).
-    pub fn fork_scenarios(mut self, on: bool) -> Self {
-        self.fork_scenarios = on;
+    /// Does nothing: every campaign builds each scenario once and forks
+    /// it per policy cell. The method exists only because the benchmark
+    /// package (`perfbench/`) still calls it.
+    pub fn fork_scenarios(self, _on: bool) -> Self {
         self
     }
 
@@ -598,7 +588,7 @@ impl Campaign {
     ///
     /// The policy cells, (if not already a policy) the baseline cells,
     /// and the solo fairness-reference runs of every mix cell's
-    /// requests run in one rayon batch; records come back in
+    /// requests run in one warm-up-and-fork batch; records come back in
     /// [`Campaign::cells`] order with baseline-relative speedups and
     /// (for mix cells) per-request fairness attached.
     pub fn run(&self) -> Result<CampaignReport, String> {
@@ -615,9 +605,13 @@ impl Campaign {
 
     /// [`Campaign::run`] with a JSONL archive: cells whose
     /// [`cell_spec_hash`] already appears in `archive` are skipped and
-    /// their archived records reused; the rest run and are appended to
-    /// the archive (whole lines, flushed as written, so a killed run
-    /// loses at most the line being written). Records merge back in
+    /// their archived records reused, so cells archived by earlier
+    /// invocations never re-run. The rest run as one batch and are
+    /// appended once the whole batch has finished: a kill during
+    /// simulation loses every fresh cell of this invocation, and a kill
+    /// during the append loses at most the torn last line. To checkpoint
+    /// a long grid, run it shard by shard
+    /// ([`Campaign::run_resumable_shard`]). Records merge back in
     /// [`Campaign::cells`] order, so a resumed campaign's JSONL is
     /// byte-identical to an uninterrupted run's.
     pub fn run_resumable(&self, archive: impl AsRef<Path>) -> Result<CampaignReport, String> {
@@ -707,8 +701,9 @@ impl Campaign {
         let (new_records, mut exec_warnings) = self.execute_cells(&cells, &todo, &known_cycles)?;
         warnings.append(&mut exec_warnings);
 
-        // Crash-safe append: whole lines, flushed one at a time, so a
-        // kill mid-campaign preserves every completed cell.
+        // Append whole lines, flushed one at a time, so a kill during
+        // the append tears at most the last line (the next load skips
+        // it and re-runs that cell).
         if !new_records.is_empty() {
             let mut f = std::fs::OpenOptions::new()
                 .create(true)
@@ -835,12 +830,7 @@ impl Campaign {
             }));
         }
 
-        let reports = if self.fork_scenarios {
-            run_cells_forked(self, &batch)?
-        } else {
-            let experiments: Vec<Experiment> = batch.iter().map(|c| c.experiment(self)).collect();
-            run_experiments(&experiments)?
-        };
+        let reports = run_cells(self, &batch)?;
 
         // Speedups and fairness first (borrowing the whole batch of
         // reports — the references point behind the todo prefix), then
@@ -970,17 +960,21 @@ pub fn cell_spec_hash(machine: &MachineSpec, cell: &CampaignCell) -> u64 {
     h
 }
 
-/// Runs a batch of campaign cells through the warm-up-and-fork fast
-/// path: cells sharing a scenario (everything but the policy) build
-/// their system once — trace generation, program mapping and component
-/// preallocation are the dominant setup cost — freeze it pre-tick with
+/// Runs a batch of campaign cells by warm-up-and-fork: cells sharing a
+/// scenario (everything but the policy) build their system once —
+/// trace generation, program mapping and component preallocation are
+/// the dominant setup cost — freeze it pre-tick with
 /// [`Experiment::snapshot_scenario`], and fork one copy per policy
-/// cell. Byte-identical to [`run_experiments`] over the same cells
-/// (pinned in `crates/bench/tests/campaign.rs`): policies influence
-/// behaviour from cycle 0, so the shared prefix is exactly the
-/// policy-independent construction work, and [`Experiment::run_forked`]
-/// swaps in freshly-reset policies before any tick.
-fn run_cells_forked(campaign: &Campaign, batch: &[CampaignCell]) -> Result<Vec<RunReport>, String> {
+/// cell. Each report is byte-identical to [`Experiment::try_run`] of
+/// its cell (pinned in `crates/bench/tests/campaign.rs`): policies
+/// influence behaviour from cycle 0, so the shared prefix is exactly
+/// the policy-independent construction work, and
+/// [`Experiment::run_forked`] swaps in freshly-reset policies before
+/// any tick.
+///
+/// Every scenario's snapshot stays alive until the whole batch has
+/// run, so peak memory grows with the number of distinct scenarios.
+fn run_cells(campaign: &Campaign, batch: &[CampaignCell]) -> Result<Vec<RunReport>, String> {
     // Group cells by policy-free scenario key in first-seen order: one
     // representative cell per scenario plus each cell's scenario index.
     let mut groups: HashMap<String, usize> = HashMap::new();
@@ -1574,27 +1568,6 @@ mod tests {
             .unwrap();
         assert_eq!(c.policies[0], PolicySpec::dynmg_bma());
         assert!(Campaign::new("n").policy_named("bogus").is_err());
-    }
-
-    /// The warm-up-and-fork fast path must be invisible in the output:
-    /// same campaign, same bytes — solo cells, mix cells, fairness
-    /// references and baseline speedups included, in both step modes.
-    #[test]
-    fn forked_run_is_byte_identical_to_straight_line() {
-        for mode in [StepMode::Cycle, StepMode::Skip] {
-            let straight = tiny().mix(tiny_mix()).step_mode(mode).run().unwrap();
-            let forked = tiny()
-                .mix(tiny_mix())
-                .step_mode(mode)
-                .fork_scenarios(true)
-                .run()
-                .unwrap();
-            assert_eq!(
-                straight.jsonl(),
-                forked.jsonl(),
-                "fork fast path changed the stream ({mode:?})"
-            );
-        }
     }
 
     /// Solo fairness references are deduplicated across mixes and

@@ -3,6 +3,7 @@
 //! through serde, execute deterministically in parallel, and stream
 //! byte-identical JSONL across repeated runs.
 
+use llamcat::experiment::RunReport;
 use llamcat::spec::{MixSpec, PolicySpec};
 use llamcat_bench::{cell_spec_hash, Campaign, CellRecord};
 use llamcat_sim::system::StepMode;
@@ -53,22 +54,14 @@ fn json_campaign_round_trips() {
     assert_eq!(serde_json::to_string(&back).unwrap(), canonical);
 }
 
-/// Campaign files archived while lockstep batching existed carry a
-/// `"batch_cells"` field. They must still parse, and the field must
-/// change nothing: same campaign, same JSONL bytes, same cell
-/// addresses.
+/// Campaign files archived before an execution option was retired
+/// carry its field: `"batch_cells"` (lockstep batching) or
+/// `"fork_scenarios"` (every campaign now forks). They must still
+/// parse, and the field must change nothing: same campaign, same cell
+/// addresses, same JSONL bytes.
 #[test]
-fn archived_batch_cells_field_is_ignored() {
-    let archived = CAMPAIGN_JSON.replace(
-        "\"max_cycles\": null",
-        "\"max_cycles\": null,\n  \"batch_cells\": true",
-    );
-    assert!(archived.contains("\"batch_cells\": true"));
-    let old: Campaign = serde_json::from_str(&archived).expect("archived JSON parses");
+fn archived_retired_fields_are_ignored() {
     let new = acceptance_campaign();
-    assert_eq!(old, new);
-    assert!(!serde_json::to_string(&old).unwrap().contains("batch_cells"));
-
     let hashes = |c: &Campaign| -> Vec<u64> {
         let machine = c.machine_spec();
         c.cells()
@@ -76,11 +69,27 @@ fn archived_batch_cells_field_is_ignored() {
             .map(|cell| cell_spec_hash(&machine, cell))
             .collect()
     };
-    assert_eq!(hashes(&old), hashes(&new));
-    let (old_run, new_run) = (old.run().unwrap(), new.run().unwrap());
-    assert_eq!(old_run.jsonl(), new_run.jsonl());
-    let record_hashes: Vec<u64> = old_run.records.iter().map(|r| r.spec_hash).collect();
-    assert_eq!(record_hashes, hashes(&new));
+    let new_jsonl = new.run().unwrap().jsonl();
+    for (field, value) in [
+        ("batch_cells", "true"),
+        ("fork_scenarios", "true"),
+        ("fork_scenarios", "false"),
+    ] {
+        let entry = format!("\"{field}\": {value}");
+        let archived = CAMPAIGN_JSON.replace(
+            "\"max_cycles\": null",
+            &format!("\"max_cycles\": null,\n  {entry}"),
+        );
+        assert!(archived.contains(&entry));
+        let old: Campaign = serde_json::from_str(&archived).expect("archived JSON parses");
+        assert_eq!(old, new, "{entry}");
+        assert!(!serde_json::to_string(&old).unwrap().contains(field));
+        assert_eq!(hashes(&old), hashes(&new), "{entry}");
+        let old_run = old.run().unwrap();
+        assert_eq!(old_run.jsonl(), new_jsonl, "{entry}");
+        let record_hashes: Vec<u64> = old_run.records.iter().map(|r| r.spec_hash).collect();
+        assert_eq!(record_hashes, hashes(&new), "{entry}");
+    }
 }
 
 #[test]
@@ -206,40 +215,58 @@ fn mix_campaign_jsonl_is_self_describing() {
     assert_eq!(again, jsonl);
 }
 
-/// Acceptance gate for the warm-up-and-fork fast path: across the
-/// 20-cell golden policy matrix (5 arbiters × 4 throttles on one
-/// scenario), a fork-from-snapshot campaign run streams byte-identical
-/// JSONL to the straight-line run — in both step modes. The fork path
-/// builds the scenario (trace generation, program mapping,
-/// preallocation) once and forks 20 pre-tick snapshots instead of
-/// constructing 20 systems.
-#[test]
-fn forked_golden_matrix_is_byte_identical_in_both_modes() {
-    let matrix = |mode: StepMode, fork: bool| {
-        let mut c = Campaign::new("golden-matrix-fork")
-            .workload(WorkloadSpec::llama3_70b())
-            .seq_lens([128])
-            .baseline(PolicySpec::unoptimized())
-            .step_mode(mode)
-            .fork_scenarios(fork);
-        for arb in ["fifo", "B", "MA", "BMA", "cobrra"] {
-            for thr in ["none", "dyncta", "lcs", "dynmg"] {
-                c = c
-                    .policy_named(&format!("{thr}+{arb}"))
-                    .expect("matrix name");
-            }
+/// The 20-cell golden policy matrix (5 arbiters × 4 throttles on one
+/// scenario) as a campaign.
+fn golden_matrix(name: &str) -> Campaign {
+    let mut c = Campaign::new(name)
+        .workload(WorkloadSpec::llama3_70b())
+        .seq_lens([128])
+        .baseline(PolicySpec::unoptimized());
+    for arb in ["fifo", "B", "MA", "BMA", "cobrra"] {
+        for thr in ["none", "dyncta", "lcs", "dynmg"] {
+            c = c
+                .policy_named(&format!("{thr}+{arb}"))
+                .expect("matrix name");
         }
-        c
+    }
+    c
+}
+
+/// Acceptance gate for warm-up-and-fork, the one campaign executor:
+/// across the golden matrix on a solo and an interleaved-mix scenario,
+/// every record's report and full `SimStats` are byte-identical to a
+/// straight-line `Experiment::try_run` of the same cell — in both step
+/// modes. The campaign builds each scenario (trace generation, program
+/// mapping, preallocation) once and forks 20 pre-tick snapshots of
+/// it; `try_run` constructs each system from scratch.
+#[test]
+fn forked_golden_matrix_matches_try_run_in_both_modes() {
+    let bytes = |r: &RunReport| {
+        (
+            serde_json::to_string(r).expect("report serializes"),
+            serde_json::to_string(r.stats.as_ref().expect("stats recorded"))
+                .expect("stats serialize"),
+        )
     };
     for mode in [StepMode::Cycle, StepMode::Skip] {
-        let straight = matrix(mode, false).run().expect("straight-line run");
-        let forked = matrix(mode, true).run().expect("forked run");
-        assert_eq!(straight.records.len(), 20);
-        assert_eq!(
-            straight.jsonl(),
-            forked.jsonl(),
-            "fork fast path diverged from the straight-line run ({mode:?})"
-        );
+        let c = golden_matrix("golden-matrix-fork")
+            .mix(
+                MixSpec::interleaved()
+                    .request(WorkloadSpec::llama3_70b(), 128, 0)
+                    .request(WorkloadSpec::llama3_405b(), 128, 0),
+            )
+            .step_mode(mode);
+        let report = c.run().expect("campaign run");
+        assert_eq!(report.records.len(), 40);
+        for rec in &report.records {
+            let straight = rec.cell.experiment(&c).try_run().expect("straight run");
+            assert_eq!(
+                bytes(&rec.report),
+                bytes(&straight),
+                "fork diverged from try_run ({mode:?}, {})",
+                rec.report.policy_label
+            );
+        }
     }
 }
 
@@ -255,69 +282,52 @@ fn geomeans_summarize_policy_columns() {
     assert_eq!(rows[2].1.len(), 4, "one speedup per scenario");
 }
 
-/// Both executors — plain and forked — emit records in the same
-/// deterministic cell order, and resuming from an archive whose
-/// cached cells interleave with fresh ones (`todo` = every other cell)
-/// merges back to that exact order, on every execution path.
+/// The executor emits records in deterministic cell order, and
+/// resuming from an archive whose cached cells interleave with fresh
+/// ones (`todo` = every other cell) merges back to that exact order.
 #[test]
-fn execution_paths_agree_on_record_order_with_interleaved_archive() {
-    let matrix = |fork: bool| {
-        let mut c = Campaign::new("order-pin")
-            .workload(WorkloadSpec::llama3_70b())
-            .seq_lens([128])
-            .baseline(PolicySpec::unoptimized())
-            .fork_scenarios(fork);
-        for arb in ["fifo", "B", "MA", "BMA", "cobrra"] {
-            for thr in ["none", "dyncta", "lcs", "dynmg"] {
-                c = c
-                    .policy_named(&format!("{thr}+{arb}"))
-                    .expect("matrix name");
-            }
-        }
-        c
-    };
-
-    let plain = matrix(false).run().expect("plain run");
-    let forked = matrix(true).run().expect("forked run");
-    let golden = plain.jsonl();
-    assert_eq!(golden, forked.jsonl(), "forked path reordered records");
-    let labels: Vec<&str> = plain
+fn resume_with_interleaved_archive_keeps_record_order() {
+    let campaign = golden_matrix("order-pin");
+    let clean = campaign.run().expect("clean run");
+    let golden = clean.jsonl();
+    let labels: Vec<&str> = clean
         .records
         .iter()
         .map(|r| r.report.policy_label.as_str())
         .collect();
     assert_eq!(labels.len(), 20);
     assert_eq!(labels[0], "unoptimized"); // none+fifo leads the grid
+    for (rec, cell) in clean.records.iter().zip(campaign.cells()) {
+        assert_eq!(rec.cell, cell, "records must follow Campaign::cells order");
+    }
 
     // Seed an archive with every other record (cached and fresh cells
-    // interleave through the whole grid), then resume on each path:
-    // the merged stream must be byte-identical to the uninterrupted
-    // run — cached cells slot back into position, fresh cells run
-    // through the path under test.
+    // interleave through the whole grid), then resume: the merged
+    // stream must be byte-identical to the uninterrupted run — cached
+    // cells slot back into position, fresh cells run through the
+    // executor.
     let dir = std::env::temp_dir().join(format!("llamcat-order-pin-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    for (name, fork) in [("plain", false), ("forked", true)] {
-        let archive = dir.join(format!("{name}.jsonl"));
-        let mut seed = String::new();
-        for rec in plain.records.iter().step_by(2) {
-            seed.push_str(&serde_json::to_string(rec).expect("record serializes"));
-            seed.push('\n');
-        }
-        std::fs::write(&archive, seed).expect("seed archive");
-        let resumed = matrix(fork).run_resumable(&archive).expect("resumed run");
-        assert_eq!(
-            golden,
-            resumed.jsonl(),
-            "{name} path: interleaved resume diverged from the uninterrupted run"
-        );
-        assert!(
-            resumed
-                .warnings
-                .iter()
-                .any(|w| w.contains("10 of 20 cell(s) already archived")),
-            "{name} path: resume must actually have interleaved cached cells: {:?}",
-            resumed.warnings
-        );
+    let archive = dir.join("interleaved.jsonl");
+    let mut seed = String::new();
+    for rec in clean.records.iter().step_by(2) {
+        seed.push_str(&serde_json::to_string(rec).expect("record serializes"));
+        seed.push('\n');
     }
+    std::fs::write(&archive, seed).expect("seed archive");
+    let resumed = campaign.run_resumable(&archive).expect("resumed run");
+    assert_eq!(
+        golden,
+        resumed.jsonl(),
+        "interleaved resume diverged from the uninterrupted run"
+    );
+    assert!(
+        resumed
+            .warnings
+            .iter()
+            .any(|w| w.contains("10 of 20 cell(s) already archived")),
+        "resume must actually have interleaved cached cells: {:?}",
+        resumed.warnings
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -34,7 +34,7 @@ use llamcat_trace::workloads::{Workload, WorkloadSpec};
 use serde::{Deserialize, Serialize};
 
 use crate::arbiter::ArbiterKind;
-use crate::spec::{ArbSpec, KvSpec, MixSpec, PolicySpec, ServeSpec, ThrottleSpec};
+use crate::spec::{KvSpec, MixSpec, PolicySpec, ServeSpec};
 use crate::throttle::ThrottleKind;
 
 pub use llamcat_trace::mapping::Layout;
@@ -326,24 +326,42 @@ impl Experiment {
 
     /// Generates the trace for this experiment (exposed for inspection).
     ///
-    /// Panics on invalid workload/mapping; [`Experiment::try_run`]
-    /// reports those gracefully.
+    /// Panics on inputs [`Experiment::try_run`] rejects (invalid
+    /// workload, mapping, mix or serve scenario, zero-byte trace, zero
+    /// cycle budget); `try_run` reports those gracefully.
     pub fn build_program(&self) -> Program {
-        if let Some(spec) = &self.serve {
-            let (program, _, _) = self.serve_program(spec).expect("serve set must compose");
-            return program;
+        match self.checked_program() {
+            Ok((program, _, _)) => program,
+            Err(e) => panic!("experiment failed: {e}"),
         }
-        if let Some(mix) = &self.mix {
-            let (program, _) = mix
-                .generate(self.layout, self.l_tile, &self.tracegen)
-                .expect("mix must compose");
-            return program;
+    }
+
+    /// Builds this experiment's scenario under `policy`: validates the
+    /// KV tier, generates the program, constructs the system and
+    /// attaches the injector and KV tier. Returns the pre-tick system
+    /// and its cycle budget.
+    fn build_system(
+        &self,
+        policy: &PolicySpec,
+    ) -> Result<(System<ArbiterKind, ThrottleKind>, u64), ExperimentError> {
+        if let Some(kv) = &self.kv {
+            kv.validate().map_err(ExperimentError::InvalidKv)?;
         }
-        let mapping = self
-            .workload
-            .mapping(self.layout, self.l_tile, self.config.num_cores);
-        let (program, _) = self.workload.generate(&mapping, &self.tracegen);
-        program
+        let (program, budget, injector) = self.checked_program()?;
+        let arb = policy.arb.clone();
+        let mut system = System::new(
+            self.config,
+            program,
+            &move |_slice| arb.build_kind(),
+            policy.throttle.build_kind(),
+        );
+        if let Some(injector) = injector {
+            system.attach_injector(injector);
+        }
+        if let Some(kv) = &self.kv {
+            system.attach_kv(kv.to_config());
+        }
+        Ok((system, budget))
     }
 
     /// Runs the experiment to completion, rejecting degenerate inputs.
@@ -353,23 +371,7 @@ impl Experiment {
     /// monomorphizes — the `Box<dyn ...>` construction path survives
     /// only for callers wiring policies outside the registry.
     pub fn try_run(&self) -> Result<RunReport, ExperimentError> {
-        if let Some(kv) = &self.kv {
-            kv.validate().map_err(ExperimentError::InvalidKv)?;
-        }
-        let (program, budget, injector) = self.checked_program()?;
-        let arb = self.policy.arb.clone();
-        let mut system = System::new(
-            self.config,
-            program,
-            &move |_slice| arb.build_kind(),
-            self.policy.throttle.build_kind(),
-        );
-        if let Some(injector) = injector {
-            system.attach_injector(injector);
-        }
-        if let Some(kv) = &self.kv {
-            system.attach_kv(kv.to_config());
-        }
+        let (mut system, budget) = self.build_system(&self.policy)?;
         let (stats, outcome) = system.run_with_mode(budget, self.step_mode);
         Ok(RunReport::from_stats(self, stats, outcome))
     }
@@ -387,22 +389,7 @@ impl Experiment {
     /// snapshot is taken before any tick — the amortized work is the
     /// expensive scenario build, not simulated cycles.
     pub fn snapshot_scenario(&self) -> Result<ScenarioSnapshot, ExperimentError> {
-        if let Some(kv) = &self.kv {
-            kv.validate().map_err(ExperimentError::InvalidKv)?;
-        }
-        let (program, budget, injector) = self.checked_program()?;
-        let mut system = System::new(
-            self.config,
-            program,
-            &|_slice| ArbSpec::Fifo.build_kind(),
-            ThrottleSpec::None.build_kind(),
-        );
-        if let Some(injector) = injector {
-            system.attach_injector(injector);
-        }
-        if let Some(kv) = &self.kv {
-            system.attach_kv(kv.to_config());
-        }
+        let (system, budget) = self.build_system(&PolicySpec::unoptimized())?;
         Ok(ScenarioSnapshot {
             state: SystemState::from(system),
             budget,
@@ -447,9 +434,9 @@ impl Experiment {
 /// policy pair — produced by [`Experiment::snapshot_scenario`] and
 /// forked (any number of times) by [`Experiment::run_forked`].
 ///
-/// This is the campaign warm-up-and-fork fast path: grid cells sharing
-/// a scenario pay trace generation and system construction once instead
-/// of once per policy.
+/// Campaigns run every grid cell this way: cells sharing a scenario pay
+/// trace generation and system construction once instead of once per
+/// policy.
 pub struct ScenarioSnapshot {
     state: SystemState<ArbiterKind, ThrottleKind>,
     budget: u64,

@@ -387,18 +387,6 @@ impl RequestSpec {
             class: 0,
         }
     }
-
-    /// Staggers the request's arrival.
-    pub fn arriving_at(mut self, cycle: Cycle) -> Self {
-        self.arrival = cycle;
-        self
-    }
-
-    /// Assigns a priority class.
-    pub fn with_class(mut self, class: u8) -> Self {
-        self.class = class;
-        self
-    }
 }
 
 /// A multi-tenant serving mix as data: the serde counterpart of

@@ -413,11 +413,6 @@ impl VectorCore {
         }
     }
 
-    /// L1 outstanding misses (for tests).
-    pub fn l1_outstanding(&self) -> usize {
-        self.l1.outstanding()
-    }
-
     /// Event bound for the fast-forward engine (see
     /// `DESIGN.md`, "The event-bound contract").
     ///

@@ -208,12 +208,6 @@ where
     pub fn fork(&self) -> System<A, T> {
         (*self.state).clone()
     }
-
-    /// Consumes the snapshot into a system without the defensive copy
-    /// (for the last — or only — fork).
-    pub fn into_system(self) -> System<A, T> {
-        *self.state
-    }
 }
 
 impl<A, T> From<System<A, T>> for SystemState<A, T>

@@ -2,13 +2,15 @@
 //! simulator's fast paths rest on, each compared byte for byte with
 //! its reference. The full differential suites (`step_mode_equiv`,
 //! `snapshot_equiv`, `serve_equiv`, `kv_equiv` in `llamcat-sim`) cover
-//! the policy grid and the edge cases; this file keeps one cell of each
+//! the policy grid and the edge cases, and `llamcat-bench`'s campaign
+//! suite covers the campaign executor; this file keeps one cell of each
 //! in the root test run, so a broken engine fails here too.
 //!
-//! Every cell runs at seq 128 to keep the debug build fast.
+//! Every cell runs at seq 128 or less to keep the debug build fast.
 
 use llamcat::experiment::{Experiment, RunReport};
-use llamcat::spec::{ArrivalSpec, KvSpec, PolicySpec, ServePolicySpec, ServeSpec};
+use llamcat::spec::{ArrivalSpec, KvSpec, MixSpec, PolicySpec, ServePolicySpec, ServeSpec};
+use llamcat_bench::{Campaign, CampaignCell};
 use llamcat_sim::system::StepMode;
 use llamcat_trace::workloads::WorkloadSpec;
 
@@ -80,4 +82,59 @@ fn kv_cell_skip_matches_cycle() {
     let report = assert_skip_matches_cycle(exp, "kv");
     let kv = report.kv.expect("tier totals present");
     assert!(kv.promotions > 0, "the warm tier must promote");
+}
+
+/// The campaign executor (warm-up-and-fork) on a grid that puts
+/// support runs in its batch: a baseline outside the policy list (one
+/// extra baseline run per scenario) and a partitioned mix (solo
+/// fairness references). Every record, speedup and fairness reference
+/// must match straight-line `try_run`s of the cells involved.
+#[test]
+fn campaign_records_match_per_cell_try_run() {
+    let campaign = Campaign::new("cross-section")
+        .workload(WorkloadSpec::llama3_70b())
+        .seq_lens([64, 128])
+        .mix(
+            MixSpec::partitioned()
+                .request(WorkloadSpec::llama3_70b(), 128, 0)
+                .request(WorkloadSpec::llama3_70b(), 64, 0),
+        )
+        .policy(PolicySpec::dynmg_bma())
+        .policy(PolicySpec::from_name("dyncta+MA").expect("matrix name"))
+        .baseline(PolicySpec::unoptimized());
+    let report = campaign.run().expect("campaign runs");
+    assert_eq!(report.records.len(), 6, "(2 seq lens + 1 mix) x 2 policies");
+    let straight = |cell: &CampaignCell| -> RunReport {
+        cell.experiment(&campaign).try_run().expect("cell runs")
+    };
+    for rec in &report.records {
+        let reference = straight(&rec.cell);
+        assert!(reference.completed);
+        assert_eq!(bytes(&rec.report), bytes(&reference), "record diverged");
+        let baseline = straight(&CampaignCell {
+            policy: PolicySpec::unoptimized(),
+            ..rec.cell.clone()
+        });
+        assert_eq!(
+            rec.speedup,
+            Some(baseline.cycles as f64 / reference.cycles as f64),
+            "baseline support run diverged"
+        );
+        if let Some(mix) = &rec.cell.mix {
+            let fairness = rec.fairness.as_ref().expect("mix cells carry fairness");
+            assert_eq!(fairness.per_request.len(), mix.requests.len());
+            for (entry, req) in fairness.per_request.iter().zip(&mix.requests) {
+                let solo = straight(&CampaignCell {
+                    workload: req.workload,
+                    seq_len: req.seq_len,
+                    mix: None,
+                    ..rec.cell.clone()
+                });
+                assert_eq!(
+                    entry.solo_cycles, solo.requests[0].cycles,
+                    "solo support run"
+                );
+            }
+        }
+    }
 }
