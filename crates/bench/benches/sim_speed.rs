@@ -22,7 +22,7 @@ use llamcat::spec::PolicySpec;
 use llamcat_sim::arb::{FifoArbiter, NoThrottle};
 use llamcat_sim::cache::{InsertPolicy, SetAssocCache};
 use llamcat_sim::config::{DramConfig, SystemConfig};
-use llamcat_sim::dram::{AddressMapping, Channel, MappingScheme};
+use llamcat_sim::dram::{AddressMapping, Channel};
 use llamcat_sim::mshr::{MshrFile, MshrTarget};
 use llamcat_sim::prog::{Instr, Program, ThreadBlock};
 use llamcat_sim::system::{StepMode, System};
@@ -72,7 +72,7 @@ fn bench_dram(c: &mut Criterion) {
     c.bench_function("dram/streaming_channel", |b| {
         let mut cfg = DramConfig::table5();
         cfg.refresh = false;
-        let mapping = AddressMapping::new(&cfg, MappingScheme::RoBaRaCoCh);
+        let mapping = AddressMapping::new(&cfg);
         b.iter_batched(
             || Channel::new(cfg, 0),
             |mut ch| {

@@ -541,6 +541,15 @@ impl Campaign {
         if self.l2_mb.is_empty() {
             return Err("campaign has no L2 sizes".into());
         }
+        for &mb in &self.l2_mb {
+            if mb.checked_mul(1024 * 1024).is_none() {
+                return Err(format!("L2 size {mb} MB overflows a byte count"));
+            }
+            SystemConfig::table5()
+                .with_l2_mb(mb)
+                .validate()
+                .map_err(|e| format!("L2 size {mb} MB: {e}"))?;
+        }
         if self.policies.is_empty() {
             return Err("campaign has no policies".into());
         }
@@ -1235,6 +1244,19 @@ mod tests {
         assert!(no_policy.run().is_err());
         let bad_tile = tiny().seq_lens([100]); // 100 % 32 != 0
         assert!(bad_tile.run().is_err());
+    }
+
+    #[test]
+    fn unbuildable_l2_sizes_are_rejected() {
+        // A zero-MB L2 has no sets; a size whose byte count overflows
+        // u64 has no meaning. Both fail validation instead of panicking
+        // inside a worker at system construction.
+        for mb in [0, u64::MAX] {
+            let c = tiny().l2_sizes_mb([16, mb]);
+            let err = c.validate().unwrap_err();
+            assert!(err.contains(&format!("L2 size {mb} MB")), "{err}");
+            assert_eq!(c.run().unwrap_err(), err);
+        }
     }
 
     fn tiny_mix() -> MixSpec {

@@ -20,7 +20,7 @@ pub mod sent_reqs;
 pub use balanced::BalancedArbiter;
 pub use cobrra::CobrraArbiter;
 pub use hit_buffer::HitBuffer;
-pub use mshr_aware::{MshrAwareArbiter, MshrAwareConfig, TieBreak};
+pub use mshr_aware::{MshrAwareArbiter, TieBreak};
 pub use prefix_aware::PrefixAwareArbiter;
 pub use sent_reqs::SentReqs;
 

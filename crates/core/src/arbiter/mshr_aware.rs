@@ -13,6 +13,7 @@
 //! 3. tie-break: FIFO ("MA") or the balanced pick ("BMA").
 
 use llamcat_sim::arb::{ArbiterCtx, RequestArbiter};
+use llamcat_sim::config::SystemConfig;
 use llamcat_sim::types::Addr;
 
 use super::balanced::balanced_pick;
@@ -28,35 +29,13 @@ pub enum TieBreak {
     Balanced,
 }
 
-/// Configuration of the speculation hardware.
-#[derive(Debug, Clone, Copy)]
-pub struct MshrAwareConfig {
-    /// Hit-buffer entries (each one line address).
-    pub hit_buffer_entries: usize,
-    /// Record DRAM fills in the hit buffer as predicted future hits
-    /// (the `inform` path of Fig 4).
-    pub record_fills: bool,
-    /// LLC tag-pipeline latency (sent_reqs residency component).
-    pub hit_latency: u64,
-    /// LLC MSHR-lookup latency (sent_reqs residency component).
-    pub mshr_latency: u64,
-}
-
-impl Default for MshrAwareConfig {
-    fn default() -> Self {
-        MshrAwareConfig {
-            hit_buffer_entries: 48,
-            record_fills: true,
-            hit_latency: 3,
-            mshr_latency: 5,
-        }
-    }
-}
+/// Hit-buffer entries (each one line address) of the speculation
+/// hardware; the area model sizes the hit buffer from this too.
+pub const HIT_BUFFER_ENTRIES: usize = 48;
 
 /// The MA / BMA arbiter.
 #[derive(Clone)]
 pub struct MshrAwareArbiter {
-    cfg: MshrAwareConfig,
     tie: TieBreak,
     hit_buffer: HitBuffer,
     sent: SentReqs,
@@ -64,11 +43,13 @@ pub struct MshrAwareArbiter {
 }
 
 impl MshrAwareArbiter {
-    pub fn new(cfg: MshrAwareConfig, tie: TieBreak) -> Self {
+    /// An arbiter sized for the Table 5 machine: `sent_reqs` residency
+    /// is the LLC's tag-pipeline plus MSHR-lookup latency.
+    pub fn new(tie: TieBreak) -> Self {
+        let l2 = SystemConfig::table5().l2;
         MshrAwareArbiter {
-            hit_buffer: HitBuffer::new(cfg.hit_buffer_entries),
-            sent: SentReqs::new(cfg.hit_latency, cfg.mshr_latency),
-            cfg,
+            hit_buffer: HitBuffer::new(HIT_BUFFER_ENTRIES),
+            sent: SentReqs::new(l2.hit_latency, l2.mshr_latency),
             tie,
             scratch: Vec::new(),
         }
@@ -76,12 +57,12 @@ impl MshrAwareArbiter {
 
     /// Policy MA with default (FIFO) tie-breaking.
     pub fn ma() -> Self {
-        Self::new(MshrAwareConfig::default(), TieBreak::Fifo)
+        Self::new(TieBreak::Fifo)
     }
 
     /// Policy BMA: MA with balanced tie-breaking.
     pub fn bma() -> Self {
-        Self::new(MshrAwareConfig::default(), TieBreak::Balanced)
+        Self::new(TieBreak::Balanced)
     }
 
     /// Step 2 of Fig 5: speculate whether `line` is a cache hit.
@@ -144,9 +125,9 @@ impl RequestArbiter for MshrAwareArbiter {
     }
 
     fn note_fill(&mut self, line_addr: u64) {
-        if self.cfg.record_fills {
-            self.hit_buffer.record(line_addr);
-        }
+        // DRAM fills are predicted future hits (the `inform` path of
+        // Fig 4).
+        self.hit_buffer.record(line_addr);
     }
 
     fn tick(&mut self) {

@@ -85,7 +85,7 @@ pub struct HitBufferGeometry {
 impl Default for HitBufferGeometry {
     fn default() -> Self {
         HitBufferGeometry {
-            entries: 48,
+            entries: crate::arbiter::mshr_aware::HIT_BUFFER_ENTRIES,
             addr_bits: 42,
         }
     }

@@ -60,6 +60,9 @@ pub enum ExperimentError {
     /// A tiered KV store failed validation (zero warm capacity,
     /// zero-byte blocks, a dead slow-tier link, …).
     InvalidKv(String),
+    /// The machine configuration failed [`SystemConfig::validate`]
+    /// (an L2 with no sets, a non-power-of-two slice count, …).
+    InvalidConfig(String),
     /// An explicit cycle budget of zero can never complete.
     ZeroCycleBudget,
     /// A speedup ratio against a zero-cycle run is undefined.
@@ -77,6 +80,7 @@ impl std::fmt::Display for ExperimentError {
             ExperimentError::InvalidMix(msg) => write!(f, "invalid mix: {msg}"),
             ExperimentError::InvalidServe(msg) => write!(f, "invalid serve scenario: {msg}"),
             ExperimentError::InvalidKv(msg) => write!(f, "invalid kv tier: {msg}"),
+            ExperimentError::InvalidConfig(msg) => write!(f, "invalid machine config: {msg}"),
             ExperimentError::ZeroCycleBudget => write!(f, "explicit cycle budget is zero"),
             ExperimentError::ZeroCycleSpeedup { detail } => {
                 write!(f, "speedup undefined: {detail}")
@@ -198,14 +202,6 @@ impl Experiment {
     /// Overrides total L2 capacity (Fig 9 sweeps 16/32/64 MB).
     pub fn l2_mb(mut self, mb: u64) -> Self {
         self.config = self.config.with_l2_mb(mb);
-        self
-    }
-
-    /// Replaces the whole machine configuration.
-    pub fn config(mut self, config: SystemConfig) -> Self {
-        self.tracegen.num_cores = config.num_cores;
-        self.tracegen.vector_len_bytes = config.core.vector_len_bytes;
-        self.config = config;
         self
     }
 
@@ -337,13 +333,16 @@ impl Experiment {
     }
 
     /// Builds this experiment's scenario under `policy`: validates the
-    /// KV tier, generates the program, constructs the system and
-    /// attaches the injector and KV tier. Returns the pre-tick system
-    /// and its cycle budget.
+    /// machine configuration and the KV tier, generates the program,
+    /// constructs the system and attaches the injector and KV tier.
+    /// Returns the pre-tick system and its cycle budget.
     fn build_system(
         &self,
         policy: &PolicySpec,
     ) -> Result<(System<ArbiterKind, ThrottleKind>, u64), ExperimentError> {
+        self.config
+            .validate()
+            .map_err(ExperimentError::InvalidConfig)?;
         if let Some(kv) = &self.kv {
             kv.validate().map_err(ExperimentError::InvalidKv)?;
         }
@@ -845,6 +844,20 @@ mod tests {
         assert!(matches!(
             e.try_run().unwrap_err(),
             ExperimentError::InvalidMapping(_)
+        ));
+    }
+
+    #[test]
+    fn invalid_machine_configs_are_errors_not_panics() {
+        // A zero-MB L2 has no sets: System::new would panic on it.
+        let e = Experiment::new(&WorkloadSpec::llama3_70b(), 128).l2_mb(0);
+        assert!(matches!(
+            e.try_run().unwrap_err(),
+            ExperimentError::InvalidConfig(_)
+        ));
+        assert!(matches!(
+            e.snapshot_scenario().err().unwrap(),
+            ExperimentError::InvalidConfig(_)
         ));
     }
 

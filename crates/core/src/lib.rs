@@ -57,8 +57,8 @@ pub mod throttle;
 /// Convenient re-exports.
 pub mod prelude {
     pub use crate::arbiter::{
-        BalancedArbiter, CobrraArbiter, HitBuffer, MshrAwareArbiter, MshrAwareConfig,
-        PrefixAwareArbiter, SentReqs, TieBreak,
+        BalancedArbiter, CobrraArbiter, HitBuffer, MshrAwareArbiter, PrefixAwareArbiter, SentReqs,
+        TieBreak,
     };
     pub use crate::area::{arbiter_area, hit_buffer_area, AreaConstants, AreaReport};
     pub use crate::experiment::{geomean, Experiment, ExperimentError, Layout, RunReport};

@@ -115,7 +115,7 @@ pub trait RequestArbiter {
 
     /// Optional dynamic override of the request/response storage-port
     /// arbitration (used by the COBRRA baseline). `None` keeps the
-    /// statically configured policy.
+    /// default: serve a response whenever one is queued.
     fn port_preference(
         &mut self,
         _req_q_len: usize,

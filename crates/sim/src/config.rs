@@ -4,22 +4,17 @@
 //! the benchmark harness can sweep cache sizes (Fig 9), queue depths and
 //! MSHR geometry without touching simulator code. `SystemConfig::table5()`
 //! reproduces the exact configuration the paper evaluates.
+//!
+//! The fields are sizes, latencies and timings only; the machine's
+//! structure is fixed to the one the paper evaluates. The LLC storage
+//! port serves responses first (an arbiter may override it per cycle),
+//! the NoC is a mesh (`hop_latency: 0` makes it a uniform crossbar), L1
+//! fills insert at the LRU position, and DRAM uses one address mapping
+//! (`dram::AddressMapping`).
 
 use serde::{Deserialize, Serialize};
 
 use crate::types::LINE_BYTES;
-
-/// Arbitration between the request path and the response path for the
-/// shared LLC storage port (Section 3.3 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ReqRespPolicy {
-    /// Serve a response whenever one is queued ("response-queue-first";
-    /// the policy the paper's experiments use).
-    ResponseFirst,
-    /// Prioritize requests; only when the response queue is full are
-    /// requests and responses served in turn (COBRRA-style baseline).
-    RequestFirst,
-}
 
 /// Geometry and policy of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -49,9 +44,6 @@ pub struct L1Config {
     pub miss_entries: usize,
     /// Maximum requests merged per outstanding line.
     pub miss_targets: usize,
-    /// Streaming hint: inserted lines are placed at LRU position so that
-    /// single-use streams do not displace reused data.
-    pub streaming: bool,
 }
 
 /// Shared L2 (LLC) configuration (Table 5, "L2 slice" row).
@@ -83,8 +75,6 @@ pub struct L2Config {
     pub req_q_size: usize,
     /// Response queue capacity per slice.
     pub resp_q_size: usize,
-    /// Request/response arbitration for the storage port.
-    pub req_resp: ReqRespPolicy,
 }
 
 impl L2Config {
@@ -118,11 +108,9 @@ pub struct NocConfig {
     pub req_base: u64,
     /// Base one-way latency, LLC slice to core, in core cycles.
     pub resp_base: u64,
-    /// Additional latency per mesh hop.
+    /// Additional latency per mesh hop of the (core, slice) distance
+    /// (Fig 3); 0 gives a uniform-latency crossbar.
     pub hop_latency: u64,
-    /// Model per-(core, slice) mesh distances (Fig 3); false gives a
-    /// uniform-latency crossbar.
-    pub mesh: bool,
 }
 
 /// DDR5 device/channel timing, expressed in DRAM clock cycles (tCK).
@@ -281,7 +269,6 @@ impl SystemConfig {
                 latency: 1,
                 miss_entries: 32,
                 miss_targets: 8,
-                streaming: true,
             },
             l2: L2Config {
                 capacity_bytes: 16 * 1024 * 1024,
@@ -295,13 +282,11 @@ impl SystemConfig {
                 mshr_targets: 8,
                 req_q_size: 12,
                 resp_q_size: 64,
-                req_resp: ReqRespPolicy::ResponseFirst,
             },
             noc: NocConfig {
                 req_base: 2,
                 resp_base: 2,
                 hop_latency: 1,
-                mesh: true,
             },
             dram: DramConfig::table5(),
         }

@@ -515,13 +515,13 @@ impl Channel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dram::mapping::{AddressMapping, MappingScheme};
+    use crate::dram::mapping::AddressMapping;
     use crate::types::LINE_BYTES;
 
     fn channel() -> (Channel, AddressMapping) {
         let mut cfg = DramConfig::table5();
         cfg.refresh = false;
-        let m = AddressMapping::new(&cfg, MappingScheme::RoBaRaCoCh);
+        let m = AddressMapping::new(&cfg);
         (Channel::new(cfg, 0), m)
     }
 

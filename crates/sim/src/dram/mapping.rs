@@ -2,13 +2,12 @@
 //!
 //! The mapping determines how a stream of line addresses spreads over
 //! channels, banks and rows — and therefore how much bank-level
-//! parallelism and row-buffer locality a workload sees. We implement the
-//! two schemes most common in Ramulator-style simulators; the default
-//! (`RoBaRaCoCh`) interleaves consecutive lines across channels first,
-//! then across columns of an open row, which is what GPU-class memory
-//! subsystems use for streaming bandwidth.
-
-use serde::{Deserialize, Serialize};
+//! parallelism and row-buffer locality a workload sees. The bit order,
+//! most-significant first, is Row : Bank(group+bank) : Rank : Column :
+//! Channel (`RoBaRaCoCh` in Ramulator's naming): consecutive lines
+//! interleave across channels first, then across columns of an open
+//! row, which is what GPU-class memory subsystems use for streaming
+//! bandwidth.
 
 use crate::config::DramConfig;
 use crate::types::{Addr, LINE_BYTES};
@@ -31,25 +30,9 @@ impl DramCoord {
     }
 }
 
-/// Supported bit orderings (listed most-significant first, as is
-/// conventional: e.g. `RoBaRaCoCh` = Row : Bank : Rank : Column : Channel).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum MappingScheme {
-    /// Row : Bank(group+bank) : Rank : Column : Channel.
-    /// Channel bits lowest — consecutive lines stripe channels; a stream
-    /// then walks columns of one open row per channel.
-    #[default]
-    RoBaRaCoCh,
-    /// Row : Column(high) : Rank : Bank : Column(low=lines-in-burst-group) : Channel.
-    /// Spreads consecutive row-sized chunks over banks for more BLP at the
-    /// cost of shorter row bursts.
-    RoCoRaBaCh,
-}
-
 /// Address mapper for a fixed [`DramConfig`].
 #[derive(Debug, Clone, Copy)]
 pub struct AddressMapping {
-    scheme: MappingScheme,
     channels: usize,
     ranks: usize,
     bank_groups: usize,
@@ -58,7 +41,7 @@ pub struct AddressMapping {
 }
 
 impl AddressMapping {
-    pub fn new(cfg: &DramConfig, scheme: MappingScheme) -> Self {
+    pub fn new(cfg: &DramConfig) -> Self {
         assert!(cfg.channels.is_power_of_two());
         assert!(cfg.ranks.is_power_of_two());
         assert!(cfg.bank_groups.is_power_of_two());
@@ -66,7 +49,6 @@ impl AddressMapping {
         let lines_per_row = cfg.row_bytes / LINE_BYTES;
         assert!(lines_per_row.is_power_of_two());
         AddressMapping {
-            scheme,
             channels: cfg.channels,
             ranks: cfg.ranks,
             bank_groups: cfg.bank_groups,
@@ -83,41 +65,21 @@ impl AddressMapping {
             line >>= n.trailing_zeros();
             v
         };
-        match self.scheme {
-            MappingScheme::RoBaRaCoCh => {
-                let channel = take(self.channels as u64) as usize;
-                let column = take(self.lines_per_row);
-                let rank = take(self.ranks as u64) as usize;
-                let bank = take(self.banks_per_group as u64) as usize;
-                let bank_group = take(self.bank_groups as u64) as usize;
-                let row = line;
-                DramCoord {
-                    channel,
-                    rank,
-                    bank_group,
-                    bank,
-                    row,
-                    column,
-                }
-            }
-            MappingScheme::RoCoRaBaCh => {
-                let channel = take(self.channels as u64) as usize;
-                // Keep 4 lines (256 B) contiguous per bank before hopping.
-                let col_low = take(4.min(self.lines_per_row));
-                let bank = take(self.banks_per_group as u64) as usize;
-                let bank_group = take(self.bank_groups as u64) as usize;
-                let rank = take(self.ranks as u64) as usize;
-                let col_high = take(self.lines_per_row / 4.min(self.lines_per_row));
-                let row = line;
-                DramCoord {
-                    channel,
-                    rank,
-                    bank_group,
-                    bank,
-                    row,
-                    column: col_high * 4.min(self.lines_per_row) + col_low,
-                }
-            }
+        // Channel bits lowest: consecutive lines stripe channels, and a
+        // stream then walks the columns of one open row per channel.
+        let channel = take(self.channels as u64) as usize;
+        let column = take(self.lines_per_row);
+        let rank = take(self.ranks as u64) as usize;
+        let bank = take(self.banks_per_group as u64) as usize;
+        let bank_group = take(self.bank_groups as u64) as usize;
+        let row = line;
+        DramCoord {
+            channel,
+            rank,
+            bank_group,
+            bank,
+            row,
+            column,
         }
     }
 }
@@ -127,7 +89,7 @@ mod tests {
     use super::*;
 
     fn mapping() -> AddressMapping {
-        AddressMapping::new(&DramConfig::table5(), MappingScheme::RoBaRaCoCh)
+        AddressMapping::new(&DramConfig::table5())
     }
 
     #[test]
@@ -187,17 +149,5 @@ mod tests {
             banks.insert(fb);
         }
         assert_eq!(banks.len(), cfg.banks_per_channel());
-    }
-
-    #[test]
-    fn alternative_scheme_spreads_banks_sooner() {
-        let cfg = DramConfig::table5();
-        let m = AddressMapping::new(&cfg, MappingScheme::RoCoRaBaCh);
-        // Lines 0, 4, 8... in channel 0 (stride 4 lines = one per channel
-        // group). After 4 contiguous lines per bank, the bank changes.
-        let a = m.decode(0);
-        let b = m.decode(16 * LINE_BYTES); // line 16 = channel 0, col_low wrapped
-        assert_eq!(a.channel, b.channel);
-        assert_ne!(a.flat_bank(&cfg), b.flat_bank(&cfg));
     }
 }

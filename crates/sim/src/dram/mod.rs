@@ -12,7 +12,7 @@ pub mod mapping;
 
 pub use bank::DramCycle;
 pub use channel::{Channel, ReadReturn};
-pub use mapping::{AddressMapping, DramCoord, MappingScheme};
+pub use mapping::{AddressMapping, DramCoord};
 
 use crate::config::DramConfig;
 use crate::stats::ChannelStats;
@@ -30,8 +30,8 @@ pub struct DramSystem {
 }
 
 impl DramSystem {
-    pub fn new(cfg: DramConfig, scheme: MappingScheme) -> Self {
-        let mapping = AddressMapping::new(&cfg, scheme);
+    pub fn new(cfg: DramConfig) -> Self {
+        let mapping = AddressMapping::new(&cfg);
         DramSystem {
             channels: (0..cfg.channels).map(|i| Channel::new(cfg, i)).collect(),
             mapping,
@@ -120,7 +120,7 @@ mod tests {
     fn reads_route_to_decoded_channel() {
         let mut cfg = DramConfig::table5();
         cfg.refresh = false;
-        let mut d = DramSystem::new(cfg, MappingScheme::RoBaRaCoCh);
+        let mut d = DramSystem::new(cfg);
         for line in 0..8u64 {
             let addr = line * LINE_BYTES;
             assert_eq!(d.channel_of(addr), (line % 4) as usize);
@@ -141,7 +141,7 @@ mod tests {
     fn four_channels_run_in_parallel() {
         let mut cfg = DramConfig::table5();
         cfg.refresh = false;
-        let mut d = DramSystem::new(cfg, MappingScheme::RoBaRaCoCh);
+        let mut d = DramSystem::new(cfg);
         // One read per channel: total completion time should be about the
         // single-read latency, not 4x it.
         for line in 0..4u64 {

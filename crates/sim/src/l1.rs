@@ -93,14 +93,6 @@ impl L1Cache {
         }
     }
 
-    fn insert_policy(&self) -> InsertPolicy {
-        if self.cfg.streaming {
-            InsertPolicy::Lru
-        } else {
-            InsertPolicy::Mru
-        }
-    }
-
     /// Classifies a line-sized load without mutating any state.
     ///
     /// `fresh_so_far` counts new misses already classified (but not yet
@@ -179,8 +171,9 @@ impl L1Cache {
     /// `load`).
     pub fn fill(&mut self, line_addr: Addr, now: Cycle) -> &[(WindowId, Cycle)] {
         let _ = now;
-        let policy = self.insert_policy();
-        self.storage.insert(line_addr, false, policy);
+        // Streaming insertion: a fill enters at the LRU position so that
+        // single-use streams do not displace reused data.
+        self.storage.insert(line_addr, false, InsertPolicy::Lru);
         if let Some(slot) = self.index.remove(&line_addr) {
             debug_assert_eq!(
                 self.miss_line[slot], line_addr,

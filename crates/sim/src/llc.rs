@@ -28,7 +28,7 @@ use std::collections::VecDeque;
 
 use crate::arb::{ArbiterCtx, PortPreference, RequestArbiter};
 use crate::cache::{InsertPolicy, SetAssocCache};
-use crate::config::{L2Config, ReqRespPolicy};
+use crate::config::L2Config;
 use crate::mshr::{MshrFile, MshrOutcome, MshrSnapshot, MshrTarget};
 use crate::pool::{ReqHandle, ReqPool};
 use crate::stats::{RequestLlcStats, SliceStats};
@@ -429,30 +429,17 @@ impl<A: RequestArbiter> LlcSlice<A> {
         }
     }
 
+    /// Response-queue-first arbitration of the shared storage port (the
+    /// policy the paper's experiments use), unless the arbiter states a
+    /// preference this cycle.
     fn storage_port(&mut self, now: Cycle, pool: &mut ReqPool) {
         let prefer = self
             .arbiter
             .port_preference(self.req_q.len(), self.resp_q.len(), self.cfg.resp_q_size)
-            .unwrap_or(match self.cfg.req_resp {
-                ReqRespPolicy::ResponseFirst => {
-                    if self.resp_q.is_empty() {
-                        PortPreference::Request
-                    } else {
-                        PortPreference::Response
-                    }
-                }
-                ReqRespPolicy::RequestFirst => {
-                    // Requests first; when the response queue is full,
-                    // alternate (here: response on even cycles). With no
-                    // requests waiting, drain responses.
-                    let alternate =
-                        self.resp_q.len() >= self.cfg.resp_q_size && now.is_multiple_of(2);
-                    if alternate || (self.req_q.is_empty() && !self.resp_q.is_empty()) {
-                        PortPreference::Response
-                    } else {
-                        PortPreference::Request
-                    }
-                }
+            .unwrap_or(if self.resp_q.is_empty() {
+                PortPreference::Request
+            } else {
+                PortPreference::Response
             });
         match prefer {
             PortPreference::Response => {

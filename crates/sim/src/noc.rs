@@ -6,7 +6,7 @@
 //! the workload dynamics — it is one of the physical reasons concurrent
 //! cores streaming the same data drift out of lockstep, which is the
 //! de-synchronization LLaMCAT's balanced arbitration and throttling
-//! fight. A uniform-latency mode is kept for controlled experiments.
+//! fight. A `hop_latency` of 0 gives a uniform-latency crossbar.
 //!
 //! Topology: cores occupy a `W x H` grid (row-major); slices sit in a
 //! row below the core grid, spread evenly. Latency = base + hops (XY
@@ -92,11 +92,7 @@ impl Noc {
         let mut resp_lat = vec![0; num_cores * num_slices];
         for c in 0..num_cores {
             for s in 0..num_slices {
-                let hops = if cfg.mesh {
-                    Self::hops(c, s, num_cores, num_slices)
-                } else {
-                    0
-                };
+                let hops = Self::hops(c, s, num_cores, num_slices);
                 req_lat[c * num_slices + s] = cfg.req_base + cfg.hop_latency * hops;
                 resp_lat[c * num_slices + s] = cfg.resp_base + cfg.hop_latency * hops;
             }
@@ -166,25 +162,10 @@ impl Noc {
         self.to_core[core].front_at()
     }
 
-    /// Pops every request due for `slice` at `now` into `out`.
-    pub fn drain_reqs(&mut self, slice: SliceId, now: Cycle, out: &mut Vec<ReqHandle>) {
-        while let Some(h) = self.to_slice[slice].pop_due(now) {
-            out.push(h);
-        }
-    }
-
-    /// Pops the next request due for `slice` at `now`, if any (the
-    /// scratch-free drain the system loop uses).
+    /// Pops the next request due for `slice` at `now`, if any.
     #[inline]
     pub fn pop_due_req(&mut self, slice: SliceId, now: Cycle) -> Option<ReqHandle> {
         self.to_slice[slice].pop_due(now)
-    }
-
-    /// Pops every response due for `core` at `now` into `out`.
-    pub fn drain_resps(&mut self, core: usize, now: Cycle, out: &mut Vec<MemResp>) {
-        while let Some(resp) = self.to_core[core].pop_due(now) {
-            out.push(resp);
-        }
     }
 
     /// Pops the next response due for `core` at `now`, if any.
@@ -208,8 +189,7 @@ mod tests {
         NocConfig {
             req_base: lat,
             resp_base: lat,
-            hop_latency: 1,
-            mesh: false,
+            hop_latency: 0,
         }
     }
 
@@ -230,12 +210,9 @@ mod tests {
         let mut noc = Noc::new(cfg_uniform(6), 1, 2);
         let h = req(&mut pool, 42, 0);
         noc.send_req(1, h, 10, &pool);
-        let mut out = Vec::new();
-        noc.drain_reqs(1, 15, &mut out);
-        assert!(out.is_empty());
-        noc.drain_reqs(1, 16, &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(pool.get(out[0]).id, 42);
+        assert_eq!(noc.pop_due_req(1, 15), None);
+        let got = noc.pop_due_req(1, 16).expect("due at cycle 16");
+        assert_eq!(pool.get(got).id, 42);
         assert!(noc.is_idle());
     }
 
@@ -247,8 +224,7 @@ mod tests {
             let h = req(&mut pool, id, 0);
             noc.send_req(0, h, at, &pool);
         }
-        let mut out = Vec::new();
-        noc.drain_reqs(0, 100, &mut out);
+        let out: Vec<_> = std::iter::from_fn(|| noc.pop_due_req(0, 100)).collect();
         assert_eq!(
             out.iter().map(|&h| pool.get(h).id).collect::<Vec<_>>(),
             vec![1, 2, 3]
@@ -267,13 +243,10 @@ mod tests {
             },
             20,
         );
-        let mut out = Vec::new();
-        noc.drain_resps(0, 100, &mut out);
-        assert!(out.is_empty());
-        noc.drain_resps(1, 24, &mut out);
-        assert!(out.is_empty());
-        noc.drain_resps(1, 25, &mut out);
-        assert_eq!(out.len(), 1);
+        assert_eq!(noc.pop_due_resp(0, 100), None);
+        assert_eq!(noc.pop_due_resp(1, 24), None);
+        assert_eq!(noc.pop_due_resp(1, 25).map(|r| r.id), Some(9));
+        assert!(noc.is_idle());
     }
 
     #[test]
@@ -282,7 +255,6 @@ mod tests {
             req_base: 2,
             resp_base: 2,
             hop_latency: 1,
-            mesh: true,
         };
         let noc = Noc::new(cfg, 16, 8);
         // Core 0 (top-left) is closer to slice 0 (below-left) than to
@@ -304,7 +276,6 @@ mod tests {
             req_base: 2,
             resp_base: 2,
             hop_latency: 2,
-            mesh: true,
         };
         let mut pool = ReqPool::default();
         let mut noc = Noc::new(cfg, 16, 8);
@@ -315,8 +286,7 @@ mod tests {
         noc.send_req(0, far, 0, &pool);
         let near = req(&mut pool, 2, 12);
         noc.send_req(0, near, 0, &pool);
-        let mut out = Vec::new();
-        noc.drain_reqs(0, 1000, &mut out);
+        let out: Vec<_> = std::iter::from_fn(|| noc.pop_due_req(0, 1000)).collect();
         assert_eq!(out.len(), 2);
         assert_eq!(pool.get(out[0]).id, 2, "nearer sender arrives first");
     }

@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 use crate::arb::{RequestArbiter, ThrottleController, ThrottleInputs};
 use crate::config::SystemConfig;
 use crate::core_model::VectorCore;
-use crate::dram::{DramSystem, MappingScheme};
+use crate::dram::DramSystem;
 use crate::kv::{KvClass, KvTier, KvTierConfig};
 use crate::llc::LlcSlice;
 use crate::noc::Noc;
@@ -268,7 +268,7 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
         throttle.reset(cfg.num_cores);
         let sched = TbScheduler::new(&program, cfg.num_cores, cfg.core.num_inst_windows);
         let noc = Noc::new(cfg.noc, cfg.num_cores, cfg.l2.num_slices);
-        let dram = DramSystem::new(cfg.dram, MappingScheme::RoBaRaCoCh);
+        let dram = DramSystem::new(cfg.dram);
         let n = cfg.num_cores;
         let req_blocks_total = program.blocks_per_request();
         let req_arrivals = program.request_arrivals();

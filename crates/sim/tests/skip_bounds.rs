@@ -22,7 +22,7 @@ use proptest::prelude::*;
 
 use llamcat_sim::arb::{FifoArbiter, ThrottleController, ThrottleInputs};
 use llamcat_sim::config::{DramConfig, SystemConfig};
-use llamcat_sim::dram::{AddressMapping, Channel, MappingScheme};
+use llamcat_sim::dram::{AddressMapping, Channel};
 use llamcat_sim::prog::{Instr, Program, ThreadBlock};
 use llamcat_sim::sched::TbScheduler;
 use llamcat_sim::system::{StepMode, System};
@@ -176,7 +176,7 @@ proptest! {
     ) {
         let mut cfg = DramConfig::table5();
         cfg.refresh = refresh;
-        let mapping = AddressMapping::new(&cfg, MappingScheme::RoBaRaCoCh);
+        let mapping = AddressMapping::new(&cfg);
         let mut ch = Channel::new(cfg, 0);
         for &(sel, is_write) in &ops {
             // Keep every address on channel 0.

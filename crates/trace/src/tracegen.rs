@@ -23,8 +23,6 @@ pub struct TraceGenConfig {
     /// Compute cycles modelled per K row (vector FMA work of one
     /// dot-product row).
     pub compute_cycles_per_row: u32,
-    /// Rows between flushed `Compute` instructions (amortization).
-    pub compute_flush_rows: usize,
     /// Cores the blocks are distributed over.
     pub num_cores: usize,
 }
@@ -34,7 +32,6 @@ impl Default for TraceGenConfig {
         TraceGenConfig {
             vector_len_bytes: 128,
             compute_cycles_per_row: 1,
-            compute_flush_rows: 4,
             num_cores: 16,
         }
     }
@@ -294,7 +291,7 @@ pub fn logit_block(
 
     // Stream the K rows of the tile, interleaving amortized compute.
     let l0 = lt * l_tile;
-    stream_rows(out, cfg, l_tile, cfg.compute_cycles_per_row, |li, out| {
+    stream_rows(out, l_tile, cfg.compute_cycles_per_row, |li, out| {
         push_vector_accesses(out, op.k_addr(h, l0 + li, 0), row_bytes, vlen, false);
     });
 
@@ -304,13 +301,15 @@ pub fn logit_block(
     push_vector_accesses(out, s0, l_tile as u64 * ELEM_BYTES, vlen, true);
 }
 
+/// Streamed rows between flushed `Compute` instructions (amortization).
+const COMPUTE_FLUSH_ROWS: usize = 4;
+
 /// Appends `rows` streamed rows (`row(li, out)` appends row `li`'s
 /// accesses) with their compute amortized: `cycles_per_row` cycles per
-/// row, flushed as one `Compute` every `cfg.compute_flush_rows` rows and
+/// row, flushed as one `Compute` every `COMPUTE_FLUSH_ROWS` rows and
 /// once more for any remainder (shared by all workload block builders).
 pub fn stream_rows(
     out: &mut Vec<Instr>,
-    cfg: &TraceGenConfig,
     rows: usize,
     cycles_per_row: u32,
     mut row: impl FnMut(usize, &mut Vec<Instr>),
@@ -319,7 +318,7 @@ pub fn stream_rows(
     for li in 0..rows {
         row(li, out);
         pending_compute += cycles_per_row;
-        if (li + 1) % cfg.compute_flush_rows == 0 && pending_compute > 0 {
+        if (li + 1) % COMPUTE_FLUSH_ROWS == 0 && pending_compute > 0 {
             out.push(Instr::Compute {
                 cycles: pending_compute,
             });

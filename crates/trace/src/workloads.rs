@@ -225,7 +225,7 @@ impl Workload for AttnOutputWorkload {
         );
 
         // Stream the V rows of the tile, interleaving amortized compute.
-        stream_rows(out, cfg, l_tile, cfg.compute_cycles_per_row, |li, out| {
+        stream_rows(out, l_tile, cfg.compute_cycles_per_row, |li, out| {
             push_vector_accesses(out, self.v_addr(h, l0 + li, 0), row_bytes, vlen, false);
         });
 
@@ -331,7 +331,6 @@ impl Workload for PrefillLogitWorkload {
         // `query_tokens` dot products.
         stream_rows(
             out,
-            cfg,
             l_tile,
             cfg.compute_cycles_per_row * t_count as u32,
             |li, out| {
@@ -427,7 +426,7 @@ impl Workload for SharedPrefixWorkload {
 
         // Stream the K rows of the tile: shared-window rows for the
         // prefix, per-request rows for the rest.
-        stream_rows(out, cfg, l_tile, cfg.compute_cycles_per_row, |li, out| {
+        stream_rows(out, l_tile, cfg.compute_cycles_per_row, |li, out| {
             let l = l0 + li;
             let k0 = if l < prefix {
                 self.shared_k_addr(h, l, 0)
@@ -519,17 +518,11 @@ impl Workload for GqaDecodeWorkload {
 
         // Stream K and V rows of the tile back to back: score the row,
         // then immediately fold it into the output accumulator.
-        stream_rows(
-            out,
-            cfg,
-            l_tile,
-            2 * cfg.compute_cycles_per_row,
-            |li, out| {
-                let l = l0 + li;
-                push_vector_accesses(out, op.k_addr(h, l, 0), row_bytes, vlen, false);
-                push_vector_accesses(out, self.v_addr(h, l, 0), row_bytes, vlen, false);
-            },
-        );
+        stream_rows(out, l_tile, 2 * cfg.compute_cycles_per_row, |li, out| {
+            let l = l0 + li;
+            push_vector_accesses(out, op.k_addr(h, l, 0), row_bytes, vlen, false);
+            push_vector_accesses(out, self.v_addr(h, l, 0), row_bytes, vlen, false);
+        });
 
         // Rescale/reduce, then store the tile's partial output row;
         // scores stay in registers.
